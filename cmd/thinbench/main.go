@@ -146,7 +146,7 @@ func main() {
 		fmt.Println("  control")
 		fmt.Println("        online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users")
 		fmt.Println("  speed")
-		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event on canonical workloads; see -eventq, -cpuprofile, -memprofile")
+		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event and bytes/event on canonical workloads; see -eventq, -cpuprofile, -memprofile")
 		if *runID == "" && !*list {
 			fmt.Println("\nrun one with: thinbench -run <id>   (or -run all, -run contention, -run shard)")
 		}
@@ -397,11 +397,11 @@ func printFailover(label string, fr shard.FleetResult) {
 
 func printSpeed(doc benchdoc.SpeedDoc) {
 	fmt.Printf("== simulator speed: %s queue, workers=%d ==\n", doc.Queue, doc.Workers)
-	fmt.Printf("  %-10s %6s %10s %12s %10s %14s %14s\n",
-		"workload", "users", "events", "events/sec", "wall ms", "allocs/event", "us/user-hour")
+	fmt.Printf("  %-10s %6s %10s %12s %10s %14s %12s %14s\n",
+		"workload", "users", "events", "events/sec", "wall ms", "allocs/event", "bytes/event", "us/user-hour")
 	for _, r := range doc.Workloads {
-		fmt.Printf("  %-10s %6d %10d %12.0f %10.2f %14.4f %14.0f\n",
-			r.Name, r.Users, r.SimEvents, r.EventsPerSec, r.WallMs, r.AllocsPerEvent, r.UsPerUserHour)
+		fmt.Printf("  %-10s %6d %10d %12.0f %10.2f %14.4f %12.1f %14.0f\n",
+			r.Name, r.Users, r.SimEvents, r.EventsPerSec, r.WallMs, r.AllocsPerEvent, r.BytesPerEvent, r.UsPerUserHour)
 	}
 	fmt.Println()
 }

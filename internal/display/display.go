@@ -232,48 +232,69 @@ func (fb *Framebuffer) Apply(op Op) {
 	}
 }
 
-// ApplyFill renders a solid rectangle.
+// ApplyFill renders a solid rectangle. Pixels off the screen are
+// ignored, so only the on-screen part of r is walked: a 65535×65535 fill
+// from a hostile peer costs one screen, not four billion bounds checks.
 func (fb *Framebuffer) ApplyFill(r Rect, color byte) {
 	fb.ops++
 	fb.damage = fb.damage.Union(r)
-	for y := r.Y; y < r.Y+r.H; y++ {
-		for x := r.X; x < r.X+r.W; x++ {
-			fb.Set(x, y, color)
+	c := fb.onScreen(r)
+	for y := c.Y; y < c.Y+c.H; y++ {
+		row := fb.Pix[y*fb.W+c.X : y*fb.W+c.X+c.W]
+		for i := range row {
+			row[i] = color
 		}
 	}
 }
 
 // ApplyCopy renders an on-screen copy (scrolling), staging through a
-// reusable buffer so overlapping regions behave.
+// reusable buffer so overlapping regions behave. Only destination pixels
+// on the screen are written, so only their sources are staged; a source
+// pixel off the screen reads as 0, as At does.
 func (fb *Framebuffer) ApplyCopy(src Rect, dstX, dstY int) {
 	fb.ops++
 	fb.damage = fb.damage.Union(Rect{dstX, dstY, src.W, src.H})
-	n := src.W * src.H
+	d := fb.onScreen(Rect{dstX, dstY, src.W, src.H})
+	n := d.W * d.H
+	if n == 0 {
+		return
+	}
 	if cap(fb.copyBuf) < n {
 		fb.copyBuf = make([]byte, n)
 	}
 	tmp := fb.copyBuf[:n]
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			tmp[y*src.W+x] = fb.At(src.X+x, src.Y+y)
+	sx, sy := src.X+d.X-dstX, src.Y+d.Y-dstY
+	for y := 0; y < d.H; y++ {
+		for x := 0; x < d.W; x++ {
+			tmp[y*d.W+x] = fb.At(sx+x, sy+y)
 		}
 	}
-	for y := 0; y < src.H; y++ {
-		for x := 0; x < src.W; x++ {
-			fb.Set(dstX+x, dstY+y, tmp[y*src.W+x])
-		}
+	for y := 0; y < d.H; y++ {
+		copy(fb.Pix[(d.Y+y)*fb.W+d.X:], tmp[y*d.W:(y+1)*d.W])
 	}
 }
 
-// ApplyBlit renders bitmap pixels at (x, y).
+// ApplyBlit renders bitmap pixels at (x, y), row by row over the part of
+// the bitmap that lands on the screen.
 func (fb *Framebuffer) ApplyBlit(x, y int, img *Bitmap) {
 	fb.ops++
 	fb.damage = fb.damage.Union(Rect{x, y, img.W, img.H})
-	for yy := 0; yy < img.H; yy++ {
-		for xx := 0; xx < img.W; xx++ {
-			fb.Set(x+xx, y+yy, img.At(xx, yy))
-		}
+	d := fb.onScreen(Rect{x, y, img.W, img.H})
+	for yy := 0; yy < d.H; yy++ {
+		off := (d.Y-y+yy)*img.W + d.X - x
+		copy(fb.Pix[(d.Y+yy)*fb.W+d.X:], img.Pix[off:off+d.W])
 	}
+}
+
+// onScreen clips r to the framebuffer; the result is empty (zero W or H)
+// when r misses the screen entirely.
+func (fb *Framebuffer) onScreen(r Rect) Rect {
+	x0, y0 := max(r.X, 0), max(r.Y, 0)
+	x1, y1 := min(r.X+r.W, fb.W), min(r.Y+r.H, fb.H)
+	if x1 <= x0 || y1 <= y0 {
+		return Rect{}
+	}
+	return Rect{x0, y0, x1 - x0, y1 - y0}
 }
 
 // ApplyText renders UTF-8 text bytes with the cell font, rasterizing glyph

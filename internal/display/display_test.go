@@ -108,6 +108,67 @@ func TestCopyAreaOverlapping(t *testing.T) {
 	}
 }
 
+// TestClippedApplyMatchesPerPixelReference pins the clipped fill, copy and
+// blit to the per-pixel definition they replaced — every pixel through Set
+// (off-screen writes ignored) and At (off-screen reads 0) — on random
+// rectangles that hang off every edge, including copies whose source lies
+// partly off the screen.
+func TestClippedApplyMatchesPerPixelReference(t *testing.T) {
+	const w, h = 23, 17
+	seed := uint64(1)
+	next := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % n
+	}
+	coord := func(n int) int { return next(n+20) - 10 }
+	got, want := NewFramebuffer(w, h), NewFramebuffer(w, h)
+	for i := range got.Pix {
+		got.Pix[i] = byte(i)
+		want.Pix[i] = byte(i)
+	}
+	for round := 0; round < 2000; round++ {
+		r := Rect{X: coord(w), Y: coord(h), W: next(w + 5), H: next(h + 5)}
+		switch next(3) {
+		case 0:
+			c := byte(next(256))
+			got.ApplyFill(r, c)
+			for y := r.Y; y < r.Y+r.H; y++ {
+				for x := r.X; x < r.X+r.W; x++ {
+					want.Set(x, y, c)
+				}
+			}
+		case 1:
+			dx, dy := coord(w), coord(h)
+			got.ApplyCopy(r, dx, dy)
+			tmp := make([]byte, r.W*r.H)
+			for y := 0; y < r.H; y++ {
+				for x := 0; x < r.W; x++ {
+					tmp[y*r.W+x] = want.At(r.X+x, r.Y+y)
+				}
+			}
+			for y := 0; y < r.H; y++ {
+				for x := 0; x < r.W; x++ {
+					want.Set(dx+x, dy+y, tmp[y*r.W+x])
+				}
+			}
+		default:
+			img := NewBitmap(1+next(w+5), 1+next(h+5))
+			for i := range img.Pix {
+				img.Pix[i] = byte(next(256))
+			}
+			got.ApplyBlit(r.X, r.Y, img)
+			for y := 0; y < img.H; y++ {
+				for x := 0; x < img.W; x++ {
+					want.Set(r.X+x, r.Y+y, img.At(x, y))
+				}
+			}
+		}
+		if !got.Bitmap.Equal(want.Bitmap) {
+			t.Fatalf("round %d (%+v): clipped apply diverged from the per-pixel reference", round, r)
+		}
+	}
+}
+
 func TestPutBitmap(t *testing.T) {
 	fb := NewFramebuffer(20, 20)
 	img := SyntheticFrame(5, 0, 8, 8)

@@ -226,10 +226,12 @@ func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
 	return events, nil
 }
 
-// Client is the terminal-side proxy endpoint.
+// Client is the terminal-side proxy endpoint. A screenless client
+// (NewScreenlessClient) reassembles, inflates and checks every message the
+// same way but has no framebuffer and paints nothing.
 type Client struct {
 	cfg Config
-	fb  *display.Framebuffer
+	fb  *display.Framebuffer // nil for a screenless client
 
 	partial []byte // chunk reassembly buffer
 
@@ -244,10 +246,15 @@ func NewClient(cfg Config) *Client {
 	return &Client{cfg: cfg, fb: display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)}
 }
 
+// NewScreenlessClient builds a terminal-side endpoint with no screen: it
+// accepts and rejects exactly the messages a NewClient endpoint does, and
+// its Framebuffer is nil.
+func NewScreenlessClient(cfg Config) *Client { return &Client{cfg: cfg} }
+
 // Name implements proto.Client.
 func (c *Client) Name() string { return "lbx" }
 
-// Framebuffer implements proto.Client.
+// Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
 // Apply implements proto.Client: reassemble fragments, decode the compact
@@ -264,8 +271,10 @@ func (c *Client) Apply(m proto.Message) error {
 		c.partial = append(c.partial, body...)
 		return nil
 	case frChunkEnd:
+		// The compact message is consumed before Apply returns, so the
+		// reassembly buffer is reused for the next fragmented one.
 		full := append(c.partial, body...)
-		c.partial = nil
+		c.partial = full[:0]
 		return c.applyCompact(full)
 	default:
 		return fmt.Errorf("%w: unknown frame marker %#x", proto.ErrBadMessage, marker)
@@ -282,7 +291,9 @@ func (c *Client) applyCompact(b []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.FillRect{Rect: display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, Color: color})
+		if c.fb != nil {
+			c.fb.ApplyFill(display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, color)
+		}
 	case cCopyArea:
 		sx, sy := r.I16(), r.I16()
 		dx, dy := r.I16(), r.I16()
@@ -290,29 +301,34 @@ func (c *Client) applyCompact(b []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.CopyArea{Src: display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, DstX: int(dx), DstY: int(dy)})
+		if c.fb != nil {
+			c.fb.ApplyCopy(display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, int(dx), int(dy))
+		}
 	case cPutImage:
 		x, y := r.I16(), r.I16()
-		w, h := r.U16(), r.U16()
+		w, h := int(r.U16()), int(r.U16())
 		compressed := r.U8()
 		n := int(r.U32())
 		data := r.Raw(n)
 		if r.Err() != nil {
 			return r.Err()
 		}
+		if w == 0 || h == 0 {
+			return fmt.Errorf("%w: image of size %dx%d", proto.ErrBadMessage, w, h)
+		}
 		if compressed == 1 {
-			raw, err := inflateBytes(data, int(w)*int(h))
+			raw, err := inflateBytes(data, w*h)
 			if err != nil {
 				return err
 			}
 			data = raw
 		}
-		if len(data) != int(w)*int(h) {
+		if len(data) != w*h {
 			return fmt.Errorf("%w: image payload %d for %dx%d", proto.ErrBadMessage, len(data), w, h)
 		}
-		img := display.NewBitmap(int(w), int(h))
-		copy(img.Pix, data)
-		c.fb.Apply(display.PutBitmap{X: int(x), Y: int(y), Img: img})
+		if c.fb != nil {
+			c.fb.ApplyBlit(int(x), int(y), &display.Bitmap{W: w, H: h, Pix: data})
+		}
 	case cText:
 		x, y := r.I16(), r.I16()
 		color := r.U8()
@@ -321,7 +337,9 @@ func (c *Client) applyCompact(b []byte) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.DrawText{X: int(x), Y: int(y), Text: string(text), Color: color})
+		if c.fb != nil {
+			c.fb.ApplyText(int(x), int(y), text, color)
+		}
 	default:
 		return fmt.Errorf("%w: unknown compact op %d", proto.ErrBadMessage, op)
 	}
@@ -385,11 +403,13 @@ func deflateBytes(src []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflateBytes decompresses, expecting exactly want bytes.
+// inflateBytes decompresses, expecting exactly want bytes. want comes off
+// the wire, so the up-front allocation is capped by DEFLATE's maximum
+// expansion (1032:1): a claimed size beyond it can never inflate.
 func inflateBytes(src []byte, want int) ([]byte, error) {
 	zr := flate.NewReader(bytes.NewReader(src))
 	defer zr.Close()
-	out := make([]byte, 0, want)
+	out := make([]byte, 0, min(want, 1032*len(src)))
 	buf := make([]byte, 4096)
 	for {
 		n, err := zr.Read(buf)

@@ -71,12 +71,21 @@ type Server interface {
 
 // Client is the terminal-side endpoint: it decodes display messages into a
 // framebuffer and encodes input events.
+//
+// A client may be screenless (protos.NewScreenless builds one per codec):
+// its Apply walks every message exactly as the rendering client's does —
+// the same accepts and rejects, the same cache state — but paints nothing,
+// and its Framebuffer returns nil. The simulator runs screenless clients,
+// since it only needs each display message checked; thinserve, the trace
+// tools and the tests read pixels through rendering clients.
 type Client interface {
 	// Name identifies the protocol.
 	Name() string
-	// Apply decodes a display-channel message and renders it.
+	// Apply decodes a display-channel message and renders it (a
+	// screenless client only decodes and checks it).
 	Apply(m Message) error
-	// Framebuffer exposes the client's screen for verification.
+	// Framebuffer exposes the client's screen for verification; it is nil
+	// for a screenless client.
 	Framebuffer() *display.Framebuffer
 	// EncodeInput encodes a batch of input events gathered during one
 	// client-side flush interval into input-channel messages.

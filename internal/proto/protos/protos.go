@@ -10,6 +10,7 @@ package protos
 
 import (
 	"fmt"
+	"slices"
 
 	"thinbench/internal/display"
 	"thinbench/internal/proto"
@@ -38,8 +39,32 @@ type Opts struct {
 func Names() []string { return []string{"rdp", "x", "lbx", "vnc", "slim"} }
 
 // New builds a fresh server/client endpoint pair for the named protocol
-// with its default configuration and flushing behavior.
-func New(name string) (proto.Server, proto.Client, Opts, error) {
+// with its default configuration and flushing behavior. The client renders
+// into its own framebuffer.
+func New(name string) (proto.Server, proto.Client, Opts, error) { return build(name, true) }
+
+// NewScreenless builds the same pair as New, except that the client has no
+// screen. Its Apply walks every display message exactly as the rendering
+// client's does — it accepts and rejects the same messages and keeps the
+// same cache state — but no framebuffer is allocated, cleared or written,
+// and its Framebuffer returns nil. The simulator uses it: nothing there
+// reads client pixels.
+func NewScreenless(name string) (proto.Server, proto.Client, Opts, error) {
+	return build(name, false)
+}
+
+// Check returns the error New would for name, without building a pair.
+func Check(name string) error {
+	if slices.Contains(Names(), name) {
+		return nil
+	}
+	return fmt.Errorf("protos: unknown protocol %q", name)
+}
+
+func build(name string, screen bool) (proto.Server, proto.Client, Opts, error) {
+	if err := Check(name); err != nil {
+		return nil, nil, Opts{}, err
+	}
 	switch name {
 	case "rdp":
 		cfg := rdp.DefaultConfig()
@@ -49,23 +74,43 @@ func New(name string) (proto.Server, proto.Client, Opts, error) {
 		// tweak, so thinserve's RDP input bytes changed when it moved
 		// here).
 		cfg.MotionSample = 8
-		return rdp.NewServer(cfg), rdp.NewClient(cfg), Opts{
+		cli := rdp.NewScreenlessClient
+		if screen {
+			cli = rdp.NewClient
+		}
+		return rdp.NewServer(cfg), cli(cfg), Opts{
 			InputCoalesce:   500 * simclock.Millisecond,
 			DisplayCoalesce: simclock.Second,
 		}, nil
 	case "x":
-		return xwire.NewServer(), xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH), Opts{}, nil
+		var cli *xwire.Client
+		if screen {
+			cli = xwire.NewClient(display.TypicalScreenW, display.TypicalScreenH)
+		} else {
+			cli = xwire.NewScreenlessClient()
+		}
+		return xwire.NewServer(), cli, Opts{}, nil
 	case "lbx":
-		return lbx.NewServer(lbx.DefaultConfig()), lbx.NewClient(lbx.DefaultConfig()), Opts{
+		cli := lbx.NewScreenlessClient
+		if screen {
+			cli = lbx.NewClient
+		}
+		return lbx.NewServer(lbx.DefaultConfig()), cli(lbx.DefaultConfig()), Opts{
 			InputCoalesce: 75 * simclock.Millisecond,
 		}, nil
 	case "vnc":
-		return vnc.NewServer(vnc.DefaultConfig()), vnc.NewClient(vnc.DefaultConfig()), Opts{
+		cli := vnc.NewScreenlessClient
+		if screen {
+			cli = vnc.NewClient
+		}
+		return vnc.NewServer(vnc.DefaultConfig()), cli(vnc.DefaultConfig()), Opts{
 			DisplayCoalesce: 100 * simclock.Millisecond,
 		}, nil
-	case "slim":
-		return slim.NewServer(slim.DefaultConfig()), slim.NewClient(slim.DefaultConfig()), Opts{}, nil
-	default:
-		return nil, nil, Opts{}, fmt.Errorf("protos: unknown protocol %q", name)
+	default: // "slim"
+		cli := slim.NewScreenlessClient
+		if screen {
+			cli = slim.NewClient
+		}
+		return slim.NewServer(slim.DefaultConfig()), cli(slim.DefaultConfig()), Opts{}, nil
 	}
 }

@@ -400,20 +400,40 @@ func SetupMessages() []proto.Message {
 }
 
 // Client decodes order PDUs, mirroring the server's cache protocol.
+//
+// A screenless client (NewScreenlessClient) runs the same walk — RLE
+// decode, slot and glyph bookkeeping, MemBlt size checks, every error —
+// but has no framebuffer: it paints nothing and keeps only each cached
+// bitmap's size, not its pixels.
 type Client struct {
 	cfg    Config
-	fb     *display.Framebuffer
-	slots  map[uint16]*display.Bitmap
-	glyphs map[uint16]*display.Bitmap
+	fb     *display.Framebuffer // nil for a screenless client
+	slots  map[uint16]cachedBitmap
+	glyphs map[uint16][display.GlyphH]byte // 1-bpp rows, one byte each
+}
+
+// cachedBitmap is one client bitmap-cache slot: its size, which MemBlt
+// checks, and its pixels, which only a rendering client keeps.
+type cachedBitmap struct {
+	w, h int
+	img  *display.Bitmap
 }
 
 // NewClient builds the terminal-side endpoint.
 func NewClient(cfg Config) *Client {
+	c := NewScreenlessClient(cfg)
+	c.fb = display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)
+	return c
+}
+
+// NewScreenlessClient builds a terminal-side endpoint with no screen: it
+// accepts and rejects exactly the messages a NewClient endpoint does and
+// tracks the same cache state, and its Framebuffer is nil.
+func NewScreenlessClient(cfg Config) *Client {
 	return &Client{
 		cfg:    cfg,
-		fb:     display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH),
-		slots:  make(map[uint16]*display.Bitmap),
-		glyphs: make(map[uint16]*display.Bitmap),
+		slots:  make(map[uint16]cachedBitmap),
+		glyphs: make(map[uint16][display.GlyphH]byte),
 	}
 }
 
@@ -424,16 +444,21 @@ func (c *Client) Name() string { return "rdp" }
 // freshly constructed state — cleared screen, empty bitmap and glyph slot
 // stores — retaining the framebuffer and map allocations.
 func (c *Client) ResetSession() {
-	c.fb.Reset()
+	if c.fb != nil {
+		c.fb.Reset()
+	}
 	clear(c.slots)
 	clear(c.glyphs)
 }
 
-// Framebuffer implements proto.Client.
+// Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
 // CachedBitmaps reports how many bitmap slots the client holds.
 func (c *Client) CachedBitmaps() int { return len(c.slots) }
+
+// CachedGlyphs reports how many glyph slots the client holds.
+func (c *Client) CachedGlyphs() int { return len(c.glyphs) }
 
 // Apply implements proto.Client.
 func (c *Client) Apply(m proto.Message) error {
@@ -462,7 +487,9 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.FillRect{Rect: display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, Color: color})
+		if c.fb != nil {
+			c.fb.ApplyFill(display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, color)
+		}
 	case ordScrBlt:
 		sx, sy := r.I16(), r.I16()
 		w, h := r.U16(), r.U16()
@@ -470,22 +497,35 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.fb.Apply(display.CopyArea{Src: display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, DstX: int(dx), DstY: int(dy)})
+		if c.fb != nil {
+			c.fb.ApplyCopy(display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, int(dx), int(dy))
+		}
 	case ordCacheBitmap:
 		slot := r.U16()
-		w, h := r.U16(), r.U16()
+		w, h := int(r.U16()), int(r.U16())
 		n := int(r.U32())
 		enc := r.Raw(n)
 		if r.Err() != nil {
 			return r.Err()
 		}
-		pix, err := rleDecode(enc, int(w)*int(h))
-		if err != nil {
+		if w == 0 || h == 0 {
+			return fmt.Errorf("%w: CacheBitmap of size %dx%d", proto.ErrBadMessage, w, h)
+		}
+		// Only a rendering client materializes the pixels; a screenless
+		// one walks the RLE stream for its errors alone. A run pair
+		// expands to at most 128 bytes, so a size past 64 per encoded byte
+		// cannot decode: it is walked without a destination too, which
+		// returns the same error without allocating w·h bytes first.
+		var img *display.Bitmap
+		var pix []byte
+		if c.fb != nil && w*h <= 64*len(enc) {
+			img = display.NewBitmap(w, h)
+			pix = img.Pix
+		}
+		if err := rleDecode(pix, enc, w*h); err != nil {
 			return err
 		}
-		img := display.NewBitmap(int(w), int(h))
-		copy(img.Pix, pix)
-		c.slots[slot] = img
+		c.slots[slot] = cachedBitmap{w: w, h: h, img: img}
 	case ordMemBlt:
 		slot := r.U16()
 		x, y := r.I16(), r.I16()
@@ -493,33 +533,30 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		img, ok := c.slots[slot]
+		cb, ok := c.slots[slot]
 		if !ok {
 			return fmt.Errorf("%w: MemBlt of unknown slot %d", proto.ErrBadMessage, slot)
 		}
-		if img.W != int(w) || img.H != int(h) {
-			return fmt.Errorf("%w: MemBlt size %dx%d vs cached %dx%d", proto.ErrBadMessage, w, h, img.W, img.H)
+		if cb.w != int(w) || cb.h != int(h) {
+			return fmt.Errorf("%w: MemBlt size %dx%d vs cached %dx%d", proto.ErrBadMessage, w, h, cb.w, cb.h)
 		}
-		c.fb.Apply(display.PutBitmap{X: int(x), Y: int(y), Img: img})
+		if c.fb != nil {
+			c.fb.ApplyBlit(int(x), int(y), cb.img)
+		}
 		if slot == 0xFFFF {
 			delete(c.slots, slot) // one-shot: do not retain
 		}
 	case ordCacheGlyph:
 		idx := r.U16()
 		r.U32() // rune, informational
-		g := display.NewBitmap(display.GlyphW, display.GlyphH)
-		for y := 0; y < display.GlyphH; y++ {
-			row := r.U8()
-			for x := 0; x < display.GlyphW; x++ {
-				if row>>uint(x)&1 == 1 {
-					g.Set(x, y, 1)
-				}
-			}
+		var rows [display.GlyphH]byte
+		for y := range rows {
+			rows[y] = r.U8()
 		}
 		if r.Err() != nil {
 			return r.Err()
 		}
-		c.glyphs[idx] = g
+		c.glyphs[idx] = rows
 	case ordGlyphIndex:
 		x, y := r.I16(), r.I16()
 		color := r.U8()
@@ -527,14 +564,16 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 		cx := int(x)
 		for i := 0; i < n; i++ {
 			idx := r.U16()
-			g, ok := c.glyphs[idx]
+			rows, ok := c.glyphs[idx]
 			if !ok {
 				return fmt.Errorf("%w: glyph index %d unknown", proto.ErrBadMessage, idx)
 			}
-			for gy := 0; gy < g.H; gy++ {
-				for gx := 0; gx < g.W; gx++ {
-					if g.At(gx, gy) != 0 {
-						c.fb.Set(cx+gx, int(y)+gy, color)
+			if c.fb != nil {
+				for gy, row := range rows {
+					for gx := 0; gx < display.GlyphW; gx++ {
+						if row>>uint(gx)&1 == 1 {
+							c.fb.Set(cx+gx, int(y)+gy, color)
+						}
 					}
 				}
 			}

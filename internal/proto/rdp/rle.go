@@ -59,33 +59,46 @@ func rleEncode(src []byte) []byte {
 	return out
 }
 
-// rleDecode expands enc into a buffer of exactly want bytes.
-func rleDecode(enc []byte, want int) ([]byte, error) {
-	out := make([]byte, 0, want)
+// rleDecode expands enc, which must decode to exactly want bytes, into
+// dst. dst is either want bytes long or nil: a nil dst walks and checks
+// the encoding without storing a pixel, which is how a screenless client
+// validates a bitmap it will never paint. Bytes past want are counted but
+// not stored, so an over-long encoding is reported only after the whole
+// walk, exactly as for a full decode.
+func rleDecode(dst, enc []byte, want int) error {
+	n := 0
 	i := 0
 	for i < len(enc) {
 		c := enc[i]
 		i++
 		if c <= 0x7F {
 			if i >= len(enc) {
-				return nil, proto.ErrTruncated
+				return proto.ErrTruncated
 			}
 			v := enc[i]
 			i++
-			for j := 0; j <= int(c); j++ {
-				out = append(out, v)
+			run := int(c) + 1
+			if n+run <= len(dst) {
+				fill := dst[n : n+run]
+				for j := range fill {
+					fill[j] = v
+				}
 			}
+			n += run
 		} else {
-			n := int(c) - 0x7F
-			if i+n > len(enc) {
-				return nil, proto.ErrTruncated
+			k := int(c) - 0x7F
+			if i+k > len(enc) {
+				return proto.ErrTruncated
 			}
-			out = append(out, enc[i:i+n]...)
-			i += n
+			if n+k <= len(dst) {
+				copy(dst[n:], enc[i:i+k])
+			}
+			n += k
+			i += k
 		}
 	}
-	if len(out) != want {
-		return nil, fmt.Errorf("%w: RLE decoded %d bytes, want %d", proto.ErrBadMessage, len(out), want)
+	if n != want {
+		return fmt.Errorf("%w: RLE decoded %d bytes, want %d", proto.ErrBadMessage, n, want)
 	}
-	return out, nil
+	return nil
 }

@@ -2,6 +2,7 @@ package rdp
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestRLERoundTripBasics(t *testing.T) {
 	}
 	for _, in := range cases {
 		enc := rleEncode(in)
-		out, err := rleDecode(enc, len(in))
+		out, err := decodeRLE(t, enc, len(in))
 		if err != nil {
 			t.Fatalf("decode(%v): %v", in, err)
 		}
@@ -49,22 +50,40 @@ func TestRLEBarelyExpandsPhotoContent(t *testing.T) {
 	}
 }
 
+// decodeRLE decodes into a fresh want-byte buffer, checking on the way
+// that the nil-destination walk a screenless client uses returns the
+// identical verdict.
+func decodeRLE(t *testing.T, enc []byte, want int) ([]byte, error) {
+	t.Helper()
+	out := make([]byte, want)
+	err := rleDecode(out, enc, want)
+	if walkErr := rleDecode(nil, enc, want); fmt.Sprint(walkErr) != fmt.Sprint(err) {
+		t.Fatalf("decode error %v, walk-only error %v", err, walkErr)
+	}
+	return out, err
+}
+
 func TestRLEDecodeErrors(t *testing.T) {
-	if _, err := rleDecode([]byte{5}, 6); err == nil {
-		t.Fatal("truncated run accepted")
-	}
-	if _, err := rleDecode([]byte{0x85, 1, 2}, 6); err == nil {
-		t.Fatal("truncated literals accepted")
-	}
-	if _, err := rleDecode([]byte{0, 1}, 5); err == nil {
-		t.Fatal("wrong decoded length accepted")
+	for _, c := range []struct {
+		name string
+		enc  []byte
+		want int
+	}{
+		{"truncated run", []byte{5}, 6},
+		{"truncated literals", []byte{0x85, 1, 2}, 6},
+		{"short decode", []byte{0, 1}, 5},
+		{"long decode", []byte{9, 1}, 5},
+	} {
+		if _, err := decodeRLE(t, c.enc, c.want); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
 	}
 }
 
 func TestRLERoundTripProperty(t *testing.T) {
 	f := func(in []byte) bool {
 		enc := rleEncode(in)
-		out, err := rleDecode(enc, len(in))
+		out, err := decodeRLE(t, enc, len(in))
 		return err == nil && bytes.Equal(out, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -247,24 +247,35 @@ func (s *Server) ValidateInput(m proto.Message) (int, error) {
 	return n, nil
 }
 
-// Client applies SLIM commands to its framebuffer.
+// Client applies SLIM commands to its framebuffer. A screenless client
+// (NewScreenlessClient) parses and checks every command the same way but
+// has no framebuffer and paints nothing.
 type Client struct {
 	cfg Config
-	fb  *display.Framebuffer
+	fb  *display.Framebuffer // nil for a screenless client
 }
 
 // NewClient builds the terminal-side endpoint.
 func NewClient(cfg Config) *Client {
+	c := NewScreenlessClient(cfg)
+	c.fb = display.NewFramebuffer(c.cfg.ScreenW, c.cfg.ScreenH)
+	return c
+}
+
+// NewScreenlessClient builds a terminal-side endpoint with no screen: it
+// accepts and rejects exactly the commands a NewClient endpoint does, and
+// its Framebuffer is nil.
+func NewScreenlessClient(cfg Config) *Client {
 	if cfg.ScreenW <= 0 {
 		cfg = DefaultConfig()
 	}
-	return &Client{cfg: cfg, fb: display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)}
+	return &Client{cfg: cfg}
 }
 
 // Name implements proto.Client.
 func (c *Client) Name() string { return "slim" }
 
-// Framebuffer implements proto.Client.
+// Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
 // Apply implements proto.Client.
@@ -282,27 +293,37 @@ func (c *Client) Apply(m proto.Message) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		c.fb.Apply(display.FillRect{Rect: display.Rect{X: x, Y: y, W: w, H: h}, Color: color})
+		if c.fb != nil {
+			c.fb.ApplyFill(display.Rect{X: x, Y: y, W: w, H: h}, color)
+		}
 	case cmdCopy:
 		dx, dy := int(r.I16()), int(r.I16())
 		if err := r.Err(); err != nil {
 			return err
 		}
-		c.fb.Apply(display.CopyArea{Src: display.Rect{X: x, Y: y, W: w, H: h}, DstX: dx, DstY: dy})
+		if c.fb != nil {
+			c.fb.ApplyCopy(display.Rect{X: x, Y: y, W: w, H: h}, dx, dy)
+		}
 	case cmdSet:
 		pix := r.Raw(w * h)
 		if err := r.Err(); err != nil {
 			return err
 		}
-		img := display.NewBitmap(w, h)
-		copy(img.Pix, pix)
-		c.fb.Apply(display.PutBitmap{X: x, Y: y, Img: img})
+		if w == 0 || h == 0 {
+			return fmt.Errorf("%w: SET of size %dx%d", proto.ErrBadMessage, w, h)
+		}
+		if c.fb != nil {
+			c.fb.ApplyBlit(x, y, &display.Bitmap{W: w, H: h, Pix: pix})
+		}
 	case cmdBitmap:
 		fg := r.U8()
 		r.U8() // background flag (transparent)
 		data := r.Raw((w*h + 7) / 8)
 		if err := r.Err(); err != nil {
 			return err
+		}
+		if c.fb == nil {
+			return nil
 		}
 		bit := 0
 		for yy := 0; yy < h; yy++ {

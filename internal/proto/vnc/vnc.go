@@ -387,26 +387,37 @@ func (s *Server) ValidateInput(m proto.Message) (int, error) {
 	return n, nil
 }
 
-// Client applies framebuffer updates and encodes RFB client messages.
+// Client applies framebuffer updates and encodes RFB client messages. A
+// screenless client (NewScreenlessClient) walks and checks every update
+// the same way but has no framebuffer and paints nothing.
 type Client struct {
 	cfg Config
-	fb  *display.Framebuffer
+	fb  *display.Framebuffer // nil for a screenless client
 
 	lastX, lastY int // pointer position carried on button events
 }
 
 // NewClient builds the terminal-side endpoint.
 func NewClient(cfg Config) *Client {
+	c := NewScreenlessClient(cfg)
+	c.fb = display.NewFramebuffer(c.cfg.ScreenW, c.cfg.ScreenH)
+	return c
+}
+
+// NewScreenlessClient builds a terminal-side endpoint with no screen: it
+// accepts and rejects exactly the updates a NewClient endpoint does, and
+// its Framebuffer is nil.
+func NewScreenlessClient(cfg Config) *Client {
 	if cfg.ScreenW <= 0 {
 		cfg = DefaultConfig()
 	}
-	return &Client{cfg: cfg, fb: display.NewFramebuffer(cfg.ScreenW, cfg.ScreenH)}
+	return &Client{cfg: cfg}
 }
 
 // Name implements proto.Client.
 func (c *Client) Name() string { return "vnc" }
 
-// Framebuffer implements proto.Client.
+// Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
 // Apply implements proto.Client.
@@ -426,15 +437,19 @@ func (c *Client) Apply(m proto.Message) error {
 			if r.Err() != nil {
 				return r.Err()
 			}
-			c.fb.Apply(display.CopyArea{Src: display.Rect{X: sx, Y: sy, W: w, H: h}, DstX: x, DstY: y})
+			if c.fb != nil {
+				c.fb.ApplyCopy(display.Rect{X: sx, Y: sy, W: w, H: h}, x, y)
+			}
 		case encRaw:
 			for yy := 0; yy < h; yy++ {
 				row := r.Raw(w)
 				if r.Err() != nil {
 					return r.Err()
 				}
-				for xx := 0; xx < w; xx++ {
-					c.fb.Set(x+xx, y+yy, row[xx])
+				if c.fb != nil {
+					for xx := 0; xx < w; xx++ {
+						c.fb.Set(x+xx, y+yy, row[xx])
+					}
 				}
 			}
 		case encRRE:
@@ -445,15 +460,24 @@ func (c *Client) Apply(m proto.Message) error {
 			}
 			nSubs := int(body.U32())
 			bg := body.U8()
-			c.fb.Apply(display.FillRect{Rect: display.Rect{X: x, Y: y, W: w, H: h}, Color: bg})
+			if err := body.Err(); err != nil {
+				return err
+			}
+			if c.fb != nil {
+				c.fb.ApplyFill(display.Rect{X: x, Y: y, W: w, H: h}, bg)
+			}
 			for s := 0; s < nSubs; s++ {
 				color := body.U8()
 				sx, sy := int(body.U16()), int(body.U16())
 				sw, sh := int(body.U16()), int(body.U16())
-				c.fb.Apply(display.FillRect{Rect: display.Rect{X: x + sx, Y: y + sy, W: sw, H: sh}, Color: color})
-			}
-			if err := body.Err(); err != nil {
-				return err
+				// A count past the body stops at the first short read
+				// instead of spinning through billions of empty ones.
+				if err := body.Err(); err != nil {
+					return err
+				}
+				if c.fb != nil {
+					c.fb.ApplyFill(display.Rect{X: x + sx, Y: y + sy, W: sw, H: sh}, color)
+				}
 			}
 		default:
 			return fmt.Errorf("%w: unknown encoding %d", proto.ErrBadMessage, enc)

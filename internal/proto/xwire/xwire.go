@@ -185,8 +185,10 @@ func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
 }
 
 // Client decodes X requests into a framebuffer and encodes input events.
+// A screenless client (NewScreenlessClient) parses and checks every
+// request the same way but has no framebuffer and paints nothing.
 type Client struct {
-	fb  *display.Framebuffer
+	fb  *display.Framebuffer // nil for a screenless client
 	seq uint16
 }
 
@@ -195,40 +197,84 @@ func NewClient(w, h int) *Client {
 	return &Client{fb: display.NewFramebuffer(w, h)}
 }
 
+// NewScreenlessClient builds a terminal-side endpoint with no screen: it
+// accepts and rejects exactly the requests a NewClient endpoint does, and
+// its Framebuffer is nil.
+func NewScreenlessClient() *Client { return &Client{} }
+
 // Name implements proto.Client.
 func (c *Client) Name() string { return "x" }
 
-// Framebuffer implements proto.Client.
+// Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
 
-// Apply implements proto.Client.
+// Apply implements proto.Client. Image pixels and text bytes render
+// straight from the payload; no op is materialized.
 func (c *Client) Apply(m proto.Message) error {
-	op, err := DecodeRequest(m.Payload)
-	if err != nil {
+	q, err := parseRequest(m.Payload)
+	if err != nil || c.fb == nil {
 		return err
 	}
-	c.fb.Apply(op)
+	switch q.opcode {
+	case opPolyFillRect:
+		c.fb.ApplyFill(q.rect, q.color)
+	case opCopyArea:
+		c.fb.ApplyCopy(q.rect, q.dstX, q.dstY)
+	case opPutImage:
+		c.fb.ApplyBlit(q.rect.X, q.rect.Y, &display.Bitmap{W: q.rect.W, H: q.rect.H, Pix: q.data})
+	case opPolyText8:
+		c.fb.ApplyText(q.rect.X, q.rect.Y, q.data, q.color)
+	}
 	return nil
+}
+
+// request is one parsed X request. rect is the fill rectangle, the copy
+// source, or the image's placement and size; for PolyText8 only its X and
+// Y are set. data aliases the payload: PutImage pixels or PolyText8 bytes.
+type request struct {
+	opcode     uint8
+	rect       display.Rect
+	dstX, dstY int
+	color      byte
+	data       []byte
 }
 
 // DecodeRequest parses one encoded X request into a drawing operation.
 // It is exported for the LBX proxy, which transcodes X requests.
 func DecodeRequest(payload []byte) (display.Op, error) {
+	q, err := parseRequest(payload)
+	if err != nil {
+		return nil, err
+	}
+	switch q.opcode {
+	case opPolyFillRect:
+		return display.FillRect{Rect: q.rect, Color: q.color}, nil
+	case opCopyArea:
+		return display.CopyArea{Src: q.rect, DstX: q.dstX, DstY: q.dstY}, nil
+	case opPutImage:
+		img := display.NewBitmap(q.rect.W, q.rect.H)
+		copy(img.Pix, q.data)
+		return display.PutBitmap{X: q.rect.X, Y: q.rect.Y, Img: img}, nil
+	default: // opPolyText8
+		return display.DrawText{X: q.rect.X, Y: q.rect.Y, Text: string(q.data), Color: q.color}, nil
+	}
+}
+
+// parseRequest is the one structural walk of an X request, shared by
+// DecodeRequest and Client.Apply.
+func parseRequest(payload []byte) (request, error) {
 	r := proto.NewReader(payload)
-	opcode := r.U8()
-	aux := r.U8()
+	q := request{opcode: r.U8()}
+	r.U8()  // aux: ZPixmap format for PutImage, unused otherwise
 	r.U16() // length
-	switch opcode {
+	switch q.opcode {
 	case opPolyFillRect:
 		r.U32()
 		r.U32()
 		x, y := r.I16(), r.I16()
 		w, h := r.U16(), r.U16()
-		color := r.U8()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return display.FillRect{Rect: display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}, Color: color}, nil
+		q.color = r.U8()
+		q.rect = display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}
 	case opCopyArea:
 		r.U32()
 		r.U32()
@@ -236,40 +282,39 @@ func DecodeRequest(payload []byte) (display.Op, error) {
 		sx, sy := r.I16(), r.I16()
 		dx, dy := r.I16(), r.I16()
 		w, h := r.U16(), r.U16()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return display.CopyArea{Src: display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}, DstX: int(dx), DstY: int(dy)}, nil
+		q.rect = display.Rect{X: int(sx), Y: int(sy), W: int(w), H: int(h)}
+		q.dstX, q.dstY = int(dx), int(dy)
 	case opPutImage:
-		_ = aux
 		r.U32()
 		r.U32()
 		w, h := r.U16(), r.U16()
 		x, y := r.I16(), r.I16()
 		r.U8()
 		r.Skip(3)
-		pix := r.Raw(int(w) * int(h))
+		q.data = r.Raw(int(w) * int(h))
 		if err := r.Err(); err != nil {
-			return nil, err
+			return request{}, err
 		}
-		img := display.NewBitmap(int(w), int(h))
-		copy(img.Pix, pix)
-		return display.PutBitmap{X: int(x), Y: int(y), Img: img}, nil
+		if w == 0 || h == 0 {
+			return request{}, fmt.Errorf("%w: PutImage of size %dx%d", proto.ErrBadMessage, w, h)
+		}
+		q.rect = display.Rect{X: int(x), Y: int(y), W: int(w), H: int(h)}
 	case opPolyText8:
 		r.U32()
 		r.U32()
 		x, y := r.I16(), r.I16()
-		color := r.U8()
+		q.color = r.U8()
 		n := int(r.U8())
 		r.Skip(2)
-		text := r.Raw(n)
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return display.DrawText{X: int(x), Y: int(y), Text: string(text), Color: color}, nil
+		q.data = r.Raw(n)
+		q.rect = display.Rect{X: int(x), Y: int(y)}
 	default:
-		return nil, fmt.Errorf("%w: unknown opcode %d", proto.ErrBadMessage, opcode)
+		return request{}, fmt.Errorf("%w: unknown opcode %d", proto.ErrBadMessage, q.opcode)
 	}
+	if err := r.Err(); err != nil {
+		return request{}, err
+	}
+	return q, nil
 }
 
 // EncodeInput implements proto.Client: each event is a fixed 32-byte X

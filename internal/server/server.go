@@ -499,6 +499,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	if realProtocol(cfg.Protocol) {
+		if err := protos.Check(cfg.Protocol); err != nil {
+			return nil, err
+		}
+	}
 	eng := simclock.NewEngine()
 	s := &Server{
 		cfg:         cfg,
@@ -521,7 +526,6 @@ func New(cfg Config) (*Server, error) {
 		s.system.Pinned = true
 		s.mem.TouchAll(s.system)
 	}
-	initial := 0
 	// One backing array holds every session's record: plans compiled from
 	// a day-long schedule run to thousands of entries per machine, and a
 	// struct plus a latency collector per entry was a measurable slice of
@@ -580,13 +584,6 @@ func New(cfg Config) (*Server, error) {
 		if err := s.attach(u); err != nil {
 			return nil, err
 		}
-		initial++
-	}
-	if initial == 0 && realProtocol(cfg.Protocol) {
-		// No session validated the protocol yet; fail now, not mid-run.
-		if _, _, _, err := protos.New(cfg.Protocol); err != nil {
-			return nil, err
-		}
 	}
 	s.loginFaults = s.mem.Stats().Faults
 	return s, nil
@@ -612,7 +609,7 @@ func (s *Server) attach(u *userState) error {
 	}
 	u.ws = u.WorkingSet()
 	if realProtocol(s.cfg.Protocol) && u.psrv == nil {
-		psrv, pcli, _, err := protos.New(s.cfg.Protocol)
+		psrv, pcli, _, err := protos.NewScreenless(s.cfg.Protocol)
 		if err != nil {
 			return err
 		}
@@ -791,7 +788,7 @@ func (s *Server) start(u *userState, now simclock.Time) {
 		if u.bg != nil {
 			s.cpu.ReuseThread(u.bg, 4)
 		} else {
-			u.bg = s.cpu.NewThread(fmt.Sprintf("u%d-bg", u.idx), 4)
+			u.bg = s.cpu.NewThread(session.ThreadName(u.idx, "-bg"), 4)
 		}
 		bgPhase := u.rng.UniformDuration(0, 100*simclock.Millisecond)
 		s.eng.AtArgs(now.Add(bgPhase), s.bgTickFn, u.idx, 0)
@@ -886,7 +883,7 @@ func (s *Server) admit(u *userState, now simclock.Time) {
 	}
 	if realProtocol(s.cfg.Protocol) {
 		if u.psrv == nil {
-			psrv, pcli, _, err := protos.New(s.cfg.Protocol)
+			psrv, pcli, _, err := protos.NewScreenless(s.cfg.Protocol)
 			if err != nil {
 				if s.err == nil {
 					s.err = err

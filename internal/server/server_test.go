@@ -355,6 +355,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
+	// With no seat present at time zero no codec pair is built in New,
+	// which must still reject the name rather than fail mid-run.
+	cfg.Sessions = []Lifecycle{{Login: simclock.Time(simclock.Second)}}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("unknown protocol accepted with no time-zero seat")
+	}
 	cfg = quick()
 	cfg.Scheduler = "cfs"
 	if _, err := New(cfg); err == nil {

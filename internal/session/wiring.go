@@ -1,7 +1,7 @@
 package session
 
 import (
-	"fmt"
+	"strconv"
 
 	"thinbench/internal/sched"
 	"thinbench/internal/vm"
@@ -35,13 +35,21 @@ func AttachUser(cpu *sched.CPU, m *vm.Manager, man Manifest, index int, interact
 	u := &User{
 		Index:   index,
 		Procs:   Login(m, man),
-		App:     cpu.NewThread(fmt.Sprintf("u%d-app", index), 9),
-		Encoder: cpu.NewThread(fmt.Sprintf("u%d-enc", index), 8),
+		App:     cpu.NewThread(ThreadName(index, "-app"), 9),
+		Encoder: cpu.NewThread(ThreadName(index, "-enc"), 8),
 	}
 	u.App.GUIBoost = true
 	u.App.Interactive = interactive
 	u.Encoder.Interactive = interactive
 	return u
+}
+
+// ThreadName names seat index's thread with the given suffix ("u7-app").
+// It builds the name with strconv rather than fmt: fmt's printer comes
+// from a sync.Pool that every GC empties, so a fmt-built name per login
+// makes a run's allocation count depend on how many GCs it saw.
+func ThreadName(index int, suffix string) string {
+	return "u" + strconv.Itoa(index) + suffix
 }
 
 // ReattachUser logs a session back in reusing a detached User record from

@@ -1,7 +1,8 @@
 // Package speed measures how fast the simulator itself runs: canonical
 // workloads spanning the repo's layers (one contended server, a sharded
 // fleet, a scheduled office day) timed for sim-events per second,
-// wall-clock per simulated user-hour, and allocations per event.
+// wall-clock per simulated user-hour, and allocations and allocated bytes
+// per event.
 //
 // The event and allocation counts are deterministic — same seed, same
 // binary, same numbers — so they golden-diff and ratchet in CI like any
@@ -126,10 +127,13 @@ func Workloads(quick bool) []Workload {
 	return []Workload{cont1, fleet, officeday, bigfleet}
 }
 
-// Report is one workload's measured speed. SimEvents, Allocs, and
-// AllocsPerEvent are deterministic at workers=1 and golden-diffed; the
-// wall-clock fields (WallMs, EventsPerSec, UsPerUserHour) vary with the
-// machine and are excluded from every diff.
+// Report is one workload's measured speed. SimEvents, Allocs,
+// AllocsPerEvent and BytesPerEvent are deterministic at workers=1 and
+// golden-diffed; the wall-clock fields (WallMs, EventsPerSec,
+// UsPerUserHour) vary with the machine and are excluded from every diff.
+// BytesPerEvent is the heap bytes allocated per event, the TotalAlloc
+// delta of the same GC-fenced run as Allocs: an allocation count misses
+// one large buffer among many small ones; this does not.
 type Report struct {
 	Name           string  `json:"name"`
 	Users          int     `json:"users"`
@@ -137,6 +141,7 @@ type Report struct {
 	SimEvents      uint64  `json:"sim_events"`
 	Allocs         uint64  `json:"allocs"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
+	BytesPerEvent  float64 `json:"bytes_per_event"`
 	WallMs         float64 `json:"wall_ms"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	UsPerUserHour  float64 `json:"us_per_user_hour"`
@@ -191,6 +196,7 @@ func Measure(w Workload, seed uint64, workers int) (Report, error) {
 	}
 	if events > 0 {
 		r.AllocsPerEvent = roundTo(float64(r.Allocs)/float64(events), 4)
+		r.BytesPerEvent = roundTo(float64(after.TotalAlloc-before.TotalAlloc)/float64(events), 2)
 	}
 	if secs := wall.Seconds(); secs > 0 {
 		r.EventsPerSec = float64(events) / secs
