@@ -175,18 +175,9 @@ func serveSession(conn net.Conn, prot, wl string, span int, seed uint64) (serveS
 		return serveStats{}, err
 	}
 	st := serveStats{}
-	ts, _ := srv.(proto.TapeServer)
 	var sc proto.Scratch
-	var opsBuf []display.Op
 	for _, batch := range tr.Display {
-		var msgs []proto.Message
-		if ts != nil {
-			msgs = ts.UpdateTape(batch.Tape, batch.From, batch.To, &sc)
-		} else {
-			opsBuf = batch.Tape.AppendTo(opsBuf[:0], batch.From, batch.To)
-			msgs = srv.Update(opsBuf)
-		}
-		for _, m := range msgs {
+		for _, m := range srv.UpdateTape(batch.Tape, batch.From, batch.To, &sc) {
 			if err := proto.WriteMessage(conn, m); err != nil {
 				return st, fmt.Errorf("write: %w", err)
 			}

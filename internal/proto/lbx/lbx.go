@@ -72,11 +72,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server is the application-side proxy endpoint: it produces X requests via
-// an embedded xwire server, transcodes them compactly, and fragments them.
+// Server is the application-side proxy endpoint: it encodes each drawing
+// operation straight into the compact form of the X request it stands for
+// and fragments the result.
 type Server struct {
 	cfg Config
-	x   *xwire.Server
+
+	// Encoder scratch, reused so steady-state encoding allocates nothing:
+	// the compact form of the entry being encoded and the message spans
+	// of the update. Neither is protocol state.
+	compact []byte
+	spans   []proto.Span
 
 	// Motion delta state for input decoding.
 	lastX, lastY int
@@ -87,11 +93,15 @@ func NewServer(cfg Config) *Server {
 	if cfg.ChunkBytes <= 8 {
 		cfg.ChunkBytes = 256
 	}
-	return &Server{cfg: cfg, x: xwire.NewServer()}
+	return &Server{cfg: cfg}
 }
 
 // Name implements proto.Server.
 func (s *Server) Name() string { return "lbx" }
+
+// ResetSession implements proto.Server: the input motion state returns to
+// the origin.
+func (s *Server) ResetSession() { s.lastX, s.lastY = 0, 0 }
 
 // setupBytesTotal sums the proxied X handshake once at package init so
 // per-admission SetupBytes calls don't rebuild it.
@@ -107,37 +117,49 @@ var setupBytesTotal = func() int {
 // proxy plus a small LBX negotiation of its own.
 func (s *Server) SetupBytes() int { return setupBytesTotal }
 
-// Update implements proto.Server: ops become X requests, each transcoded
-// and (if large) fragmented.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	var out []proto.Message
-	for _, xm := range s.x.Update(ops) {
-		op, err := xwire.DecodeRequest(xm.Payload)
-		if err != nil {
-			panic(fmt.Sprintf("lbx: transcoding own xwire output failed: %v", err))
-		}
-		compact := encodeCompact(op, s.cfg.CompressThreshold)
-		out = append(out, fragment(compact, xm.Kind, s.cfg.ChunkBytes)...)
+// Update implements proto.Server with proto.UpdateOps.
+func (s *Server) Update(ops []display.Op) []proto.Message { return proto.UpdateOps(s, ops) }
+
+// UpdateTape implements proto.Server: each tape entry is encoded in the
+// compact form of its X request and, if large, fragmented; every chunk is
+// one message, reported under the X request's kind. The chunks are
+// written back to back into one scratch arena and carved into messages
+// once it has stopped growing.
+//
+//thinlint:hotpath
+func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
+	w := proto.WriterOver(sc.Buf)
+	spans := s.spans[:0]
+	for i := from; i < to; i++ {
+		s.compact = encodeCompact(s.compact, t, i, s.cfg.CompressThreshold)
+		spans = fragment(&w, spans, s.compact, xwire.RequestKind(t.Kind(i)), s.cfg.ChunkBytes)
 	}
-	return out
+	s.spans = spans
+	return proto.Carve(sc, w.Bytes(), proto.Display, spans)
 }
 
-// encodeCompact re-encodes one drawing op into the proxy's compact form.
-func encodeCompact(op display.Op, compressThreshold int) []byte {
-	w := proto.NewWriter(16)
-	switch o := op.(type) {
-	case display.FillRect:
+// encodeCompact encodes tape entry i in the proxy's compact form into buf,
+// reusing its capacity.
+//
+//thinlint:hotpath
+func encodeCompact(buf []byte, t *display.OpTape, i int, compressThreshold int) []byte {
+	w := proto.WriterOver(buf)
+	switch t.Kind(i) {
+	case display.KindFill:
+		r, color := t.FillAt(i)
 		w.U8(cFillRect)
-		w.I16(int16(o.Rect.X)).I16(int16(o.Rect.Y))
-		w.U16(uint16(o.Rect.W)).U16(uint16(o.Rect.H))
-		w.U8(o.Color)
-	case display.CopyArea:
+		w.I16(int16(r.X)).I16(int16(r.Y))
+		w.U16(uint16(r.W)).U16(uint16(r.H))
+		w.U8(color)
+	case display.KindCopy:
+		src, dx, dy := t.CopyAt(i)
 		w.U8(cCopyArea)
-		w.I16(int16(o.Src.X)).I16(int16(o.Src.Y))
-		w.I16(int16(o.DstX)).I16(int16(o.DstY))
-		w.U16(uint16(o.Src.W)).U16(uint16(o.Src.H))
-	case display.PutBitmap:
-		data := o.Img.Pix
+		w.I16(int16(src.X)).I16(int16(src.Y))
+		w.I16(int16(dx)).I16(int16(dy))
+		w.U16(uint16(src.W)).U16(uint16(src.H))
+	case display.KindBlit:
+		x, y, img := t.BlitAt(i)
+		data := img.Pix
 		compressed := byte(0)
 		if len(data) >= compressThreshold {
 			if c := deflateBytes(data); len(c) < len(data) {
@@ -146,33 +168,35 @@ func encodeCompact(op display.Op, compressThreshold int) []byte {
 			}
 		}
 		w.U8(cPutImage)
-		w.I16(int16(o.X)).I16(int16(o.Y))
-		w.U16(uint16(o.Img.W)).U16(uint16(o.Img.H))
+		w.I16(int16(x)).I16(int16(y))
+		w.U16(uint16(img.W)).U16(uint16(img.H))
 		w.U8(compressed)
 		w.U32(uint32(len(data)))
 		w.Raw(data)
-	case display.DrawText:
-		if len(o.Text) > 255 {
-			o.Text = o.Text[:255]
+	case display.KindText:
+		x, y, text, color := t.TextAt(i)
+		if len(text) > 255 {
+			text = text[:255]
 		}
 		w.U8(cText)
-		w.I16(int16(o.X)).I16(int16(o.Y))
-		w.U8(o.Color)
-		w.U8(uint8(len(o.Text)))
-		w.Raw([]byte(o.Text))
-	default:
-		panic(fmt.Sprintf("lbx: unsupported op %T", op))
+		w.I16(int16(x)).I16(int16(y))
+		w.U8(color)
+		w.U8(uint8(len(text)))
+		w.Raw(text)
 	}
 	return w.Bytes()
 }
 
-// fragment wraps a compact message in framing, splitting it into chunks.
-func fragment(compact []byte, kind string, chunkBytes int) []proto.Message {
+// fragment appends a compact message to w in framing, split into chunks
+// of at most chunkBytes, and records each chunk's span.
+//
+//thinlint:hotpath
+func fragment(w *proto.Writer, spans []proto.Span, compact []byte, kind string, chunkBytes int) []proto.Span {
 	if len(compact)+1 <= chunkBytes {
-		payload := append([]byte{frWhole}, compact...)
-		return []proto.Message{{Channel: proto.Display, Kind: kind, Payload: payload}}
+		start := w.Len()
+		w.U8(frWhole).Raw(compact)
+		return append(spans, proto.Span{Start: start, End: w.Len(), Kind: kind})
 	}
-	var out []proto.Message
 	for off := 0; off < len(compact); off += chunkBytes - 1 {
 		end := off + chunkBytes - 1
 		marker := byte(frChunk)
@@ -180,50 +204,69 @@ func fragment(compact []byte, kind string, chunkBytes int) []proto.Message {
 			end = len(compact)
 			marker = frChunkEnd
 		}
-		payload := append([]byte{marker}, compact[off:end]...)
-		out = append(out, proto.Message{Channel: proto.Display, Kind: kind, Payload: payload})
+		start := w.Len()
+		w.U8(marker).Raw(compact[off:end])
+		spans = append(spans, proto.Span{Start: start, End: w.Len(), Kind: kind})
 	}
-	return out
+	return spans
 }
 
-// DecodeInput implements proto.Server: unpack an event pack, applying
-// motion deltas against the stream state.
+// DecodeInput implements proto.Server.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
+	return proto.DecodeWith(m, s.walkInput)
+}
+
+// ValidateInput implements proto.Server.
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.walkInput(m, nil) }
+
+// walkInput is the one walk of an event pack, returning its event count;
+// events are appended to sink when it is non-nil. Motion deltas apply
+// against the stream state with or without a sink.
+//
+//thinlint:hotpath
+func (s *Server) walkInput(m proto.Message, sink *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
+		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed event pack, never in steady state
 	}
 	r := proto.NewReader(m.Payload)
 	if r.U8() != cEventPack {
-		return nil, fmt.Errorf("%w: not an event pack", proto.ErrBadMessage)
+		return 0, fmt.Errorf("%w: not an event pack", proto.ErrBadMessage) //thinlint:allow hotpath error path: runs only on a malformed event pack, never in steady state
 	}
 	n := int(r.U8())
-	events := make([]display.InputEvent, 0, n)
 	for i := 0; i < n; i++ {
 		switch kind := r.U8(); kind {
 		case iKey:
 			v := r.U16()
-			events = append(events, display.KeyEvent{Down: v&0x8000 != 0, Code: v & 0x7FFF})
+			if sink != nil {
+				*sink = append(*sink, display.KeyEvent{Down: v&0x8000 != 0, Code: v & 0x7FFF}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case iMotionRel:
 			dx := int8(r.U8())
 			dy := int8(r.U8())
 			s.lastX += int(dx)
 			s.lastY += int(dy)
-			events = append(events, display.MouseMove{X: s.lastX, Y: s.lastY})
+			if sink != nil {
+				*sink = append(*sink, display.MouseMove{X: s.lastX, Y: s.lastY}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case iMotionAbs:
 			x, y := r.I16(), r.I16()
 			s.lastX, s.lastY = int(x), int(y)
-			events = append(events, display.MouseMove{X: s.lastX, Y: s.lastY})
+			if sink != nil {
+				*sink = append(*sink, display.MouseMove{X: s.lastX, Y: s.lastY}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case iButton:
 			flags := r.U8()
-			events = append(events, display.MouseButton{Down: flags&1 != 0, Button: flags >> 1})
+			if sink != nil {
+				*sink = append(*sink, display.MouseButton{Down: flags&1 != 0, Button: flags >> 1}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		default:
-			return nil, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind)
+			return 0, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind) //thinlint:allow hotpath error path: runs only on a malformed event pack, never in steady state
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return events, nil
+	return n, nil
 }
 
 // Client is the terminal-side proxy endpoint. A screenless client
@@ -256,6 +299,17 @@ func (c *Client) Name() string { return "lbx" }
 
 // Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
+
+// ResetSession implements proto.Client: a cleared screen, no partial
+// chunk, and motion state back at the origin, keeping the framebuffer and
+// reassembly allocations.
+func (c *Client) ResetSession() {
+	if c.fb != nil {
+		c.fb.Reset()
+	}
+	c.partial = c.partial[:0]
+	c.lastX, c.lastY = 0, 0
+}
 
 // Apply implements proto.Client: reassemble fragments, decode the compact
 // message, render.
@@ -346,16 +400,23 @@ func (c *Client) applyCompact(b []byte) error {
 	return nil
 }
 
-// EncodeInput implements proto.Client: events gathered in one flush become
-// one event pack with delta-encoded motion.
+// EncodeInput implements proto.Client.
 func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
+	return c.EncodeInputScratch(events, &proto.Scratch{})
+}
+
+// EncodeInputScratch implements proto.Client: events gathered in one flush
+// become one event pack with delta-encoded motion.
+//
+//thinlint:hotpath
+func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
 	if len(events) == 0 {
 		return nil
 	}
 	if len(events) > 255 {
 		events = events[:255]
 	}
-	w := proto.NewWriter(2 + len(events)*3)
+	w := proto.WriterOver(sc.Buf)
 	w.U8(cEventPack)
 	w.U8(uint8(len(events)))
 	for _, ev := range events {
@@ -384,7 +445,10 @@ func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
 			panic(fmt.Sprintf("lbx: unsupported input event %T", ev))
 		}
 	}
-	return []proto.Message{{Channel: proto.Input, Kind: "EventPack", Payload: w.Bytes()}}
+	b := w.Bytes()
+	sc.Buf = b
+	sc.Msgs = append(sc.Msgs[:0], proto.Message{Channel: proto.Input, Kind: "EventPack", Payload: b})
+	return sc.Msgs
 }
 
 // deflateBytes compresses with DEFLATE at the default level.

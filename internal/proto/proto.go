@@ -1,4 +1,4 @@
-// Package proto defines the wire-format core shared by the three remote
+// Package proto defines the wire-format core shared by the five remote
 // display protocols of the reproduction: message framing, channel
 // classification (the paper's display versus input channels), binary codec
 // helpers, and transports (in-memory, and length-prefixed framing over any
@@ -6,7 +6,9 @@
 //
 // The protocol implementations live in the subpackages rdp (order-based,
 // bitmap-cached, batched), xwire (X11-like verbose requests and 32-byte
-// events), and lbx (a compressing proxy over xwire).
+// events), lbx (a compressing proxy over xwire), vnc (server-rendered
+// pixel rectangles) and slim (a stateless command set); each implements
+// the two endpoint interfaces, Server and Client, in full.
 package proto
 
 import (
@@ -54,19 +56,37 @@ type Message struct {
 // Size reports the message's wire size in bytes.
 func (m Message) Size() int { return len(m.Payload) }
 
-// Server is the application-side endpoint of a display protocol: it encodes
-// screen updates and decodes input messages.
+// Server is the application-side endpoint of a display protocol: it
+// encodes screen updates and decodes input messages. Every codec
+// implements the whole contract.
 type Server interface {
-	// Name identifies the protocol ("rdp", "x", "lbx").
+	// Name identifies the protocol ("rdp", "x", "lbx", "vnc", "slim").
 	Name() string
-	// Update encodes one screen update (a batch of drawing operations
-	// produced by one application flush) into display-channel messages.
-	Update(ops []display.Op) []Message
-	// DecodeInput decodes an input-channel message into events.
-	DecodeInput(m Message) ([]display.InputEvent, error)
 	// SetupBytes reports the total session negotiation cost in bytes for
 	// this protocol (both directions), the paper's §6.1.1 metric.
 	SetupBytes() int
+	// UpdateTape encodes one screen update — entries [from, to) of t, the
+	// drawing operations of one application flush — into display-channel
+	// messages written into caller-owned scratch. It is the one encoder:
+	// no op is boxed, and a warm Scratch makes the encode allocation-free.
+	UpdateTape(t *display.OpTape, from, to int, sc *Scratch) []Message
+	// Update is the boxed convenience form of UpdateTape for tests and
+	// tools; every codec implements it with UpdateOps.
+	Update(ops []display.Op) []Message
+	// DecodeInput decodes an input-channel message into events.
+	DecodeInput(m Message) ([]display.InputEvent, error)
+	// ValidateInput checks an input message and returns its event count
+	// without materializing the events, for callers that only need the
+	// round trip checked. It runs the same walk as DecodeInput with no
+	// event sink, so the two accept and reject the same messages and
+	// leave the same decoder state.
+	ValidateInput(m Message) (int, error)
+	// ResetSession returns the endpoint to its freshly constructed state
+	// while keeping its allocations: after it, every observable behavior —
+	// including the exact wire bytes of every later encode — matches a
+	// brand-new endpoint of the same configuration. Session pools use it
+	// to recycle a departed user's codec pair.
+	ResetSession()
 }
 
 // Client is the terminal-side endpoint: it decodes display messages into a
@@ -90,62 +110,70 @@ type Client interface {
 	// EncodeInput encodes a batch of input events gathered during one
 	// client-side flush interval into input-channel messages.
 	EncodeInput(events []display.InputEvent) []Message
+	// EncodeInputScratch is EncodeInput into caller-owned scratch, the
+	// zero-allocation steady-state form.
+	EncodeInputScratch(events []display.InputEvent, sc *Scratch) []Message
+	// ResetSession returns the client to its freshly constructed state
+	// (cleared screen, empty caches) while keeping its allocations, as
+	// Server.ResetSession does.
+	ResetSession()
 }
 
-// Scratch is caller-owned reusable encode state for the zero-allocation
-// Update/EncodeInput forms: the payload arena and the returned message
-// slice both live here, so a steady-state encoder writes into memory the
-// caller already owns instead of allocating per call. Messages returned
-// from a scratch encode alias Buf — the caller must not reuse the Scratch
-// until every message encoded into it has been consumed (for the
-// simulator: delivered and applied).
+// TapeServer is the former name of the tape-encoding server contract,
+// kept as an alias of Server because the perfbench module, which must
+// build unmodified against this package, still type-asserts it.
+type TapeServer = Server
+
+// Scratch is caller-owned reusable encode state for UpdateTape and
+// EncodeInputScratch: the payload arena and the returned message slice
+// both live here, so a steady-state encoder writes into memory the caller
+// already owns instead of allocating per call. Messages returned from a
+// scratch encode alias Buf — the caller must not reuse the Scratch until
+// every message encoded into it has been consumed (for the simulator:
+// delivered and applied).
 type Scratch struct {
 	Buf  []byte
 	Msgs []Message
 }
 
-// ScratchServer is implemented by protocol servers whose Update can encode
-// into caller-owned scratch. Semantics are identical to Update; only the
-// allocation behavior differs.
-type ScratchServer interface {
-	UpdateScratch(ops []display.Op, sc *Scratch) []Message
+// Span marks one message's payload inside a shared scratch buffer.
+type Span struct {
+	Start, End int
+	Kind       string
 }
 
-// TapeServer is implemented by protocol servers that can encode a screen
-// update directly from a display.OpTape window — the pointer-free,
-// devirtualized form of UpdateScratch. Encoding entries [from, to) of t
-// must produce byte-identical messages to UpdateScratch over the equivalent
-// boxed op slice; the steady-state echo pipeline uses this form so no op is
-// ever boxed into the display.Op interface.
-type TapeServer interface {
-	UpdateTape(t *display.OpTape, from, to int, sc *Scratch) []Message
+// Carve stores buf as sc.Buf and slices it at spans into sc.Msgs, all on
+// channel ch. Encoders that emit several messages per call write them
+// back to back into one buffer, record each one's span, and carve once the
+// buffer has stopped growing, so a warm encode reuses one buffer and one
+// message slice instead of allocating per message.
+//
+//thinlint:hotpath
+func Carve(sc *Scratch, buf []byte, ch Channel, spans []Span) []Message {
+	sc.Buf = buf
+	sc.Msgs = sc.Msgs[:0]
+	for _, sp := range spans {
+		sc.Msgs = append(sc.Msgs, Message{Channel: ch, Kind: sp.Kind, Payload: buf[sp.Start:sp.End]})
+	}
+	return sc.Msgs
 }
 
-// ScratchClient is implemented by protocol clients whose EncodeInput can
-// encode into caller-owned scratch.
-type ScratchClient interface {
-	EncodeInputScratch(events []display.InputEvent, sc *Scratch) []Message
+// UpdateOps is Server.Update for every codec: it appends the ops to a
+// fresh tape and encodes the whole tape into a fresh Scratch.
+func UpdateOps(s Server, ops []display.Op) []Message {
+	var t display.OpTape
+	t.AppendOps(ops)
+	return s.UpdateTape(&t, 0, t.Len(), &Scratch{})
 }
 
-// SessionReusable is implemented by protocol endpoints whose state can be
-// returned to the freshly constructed state without reallocating. After
-// ResetSession every observable behavior — including the exact wire bytes
-// of every subsequent encode — must match a brand-new endpoint of the same
-// configuration: caches are emptied, directories cleared, counters zeroed;
-// only the allocations survive. Session pools use it to recycle a departed
-// user's codec pair for a same-seat successor.
-type SessionReusable interface {
-	ResetSession()
-}
-
-// InputValidator is implemented by protocol servers that can check an
-// input message's structure without materializing the decoded events.
-// ValidateInput must accept and reject exactly the messages DecodeInput
-// does, returning the event count; callers that discard the decoded
-// events (the simulator's echo path only needs the round-trip checked)
-// use it to skip the decode allocations.
-type InputValidator interface {
-	ValidateInput(m Message) (int, error)
+// DecodeWith is Server.DecodeInput for every codec: it runs the codec's
+// input walk with an event sink and returns the events it collected.
+func DecodeWith(m Message, walk func(Message, *[]display.InputEvent) (int, error)) ([]display.InputEvent, error) {
+	var events []display.InputEvent
+	if _, err := walk(m, &events); err != nil {
+		return nil, err
+	}
+	return events, nil
 }
 
 // ErrTruncated reports a message too short for its advertised structure.

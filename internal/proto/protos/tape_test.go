@@ -207,11 +207,7 @@ func displayLine(t *testing.T, name, c string, tape bool) string {
 			if got := ot.AppendTo(nil, from, ot.Len()); len(ops) > 0 && !reflect.DeepEqual(got, ops) {
 				t.Fatalf("round %d: tape round-trip mismatch:\n got %#v\nwant %#v", round, got, ops)
 			}
-			if ts, ok := srv.(proto.TapeServer); ok {
-				msgs = ts.UpdateTape(&ot, from, ot.Len(), &sc)
-			} else {
-				msgs = srv.Update(ops)
-			}
+			msgs = srv.UpdateTape(&ot, from, ot.Len(), &sc)
 		} else {
 			msgs = srv.Update(ops)
 		}
@@ -244,11 +240,7 @@ func inputLine(t *testing.T, name, c string, scratch bool) string {
 		evs := inGen(r)
 		var msgs []proto.Message
 		if scratch {
-			if cs, ok := cli.(proto.ScratchClient); ok {
-				msgs = cs.EncodeInputScratch(evs, &sc)
-			} else {
-				msgs = cli.EncodeInput(evs)
-			}
+			msgs = cli.EncodeInputScratch(evs, &sc)
 		} else {
 			msgs = cli.EncodeInput(evs)
 		}

@@ -79,10 +79,6 @@ type Server struct {
 
 	glyphIdx  map[rune]uint16
 	nextGlyph uint16
-
-	// enc is the scratch tape UpdateScratch unboxes onto before delegating
-	// to the tape encoder.
-	enc display.OpTape
 }
 
 // NewServer builds the application-side endpoint.
@@ -108,7 +104,7 @@ func NewServer(cfg Config) *Server {
 // Name implements proto.Server.
 func (s *Server) Name() string { return "rdp" }
 
-// ResetSession implements proto.SessionReusable: the server returns to its
+// ResetSession implements proto.Server: the server returns to its
 // freshly constructed state — empty bitmap cache, virgin slot and glyph
 // directories — while keeping every allocation, so a pooled codec's wire
 // bytes match a brand-new server's exactly.
@@ -119,35 +115,17 @@ func (s *Server) ResetSession() {
 	s.nextSlot = 0
 	clear(s.glyphIdx)
 	s.nextGlyph = 0
-	s.enc.Reset()
 }
 
 // CacheStats exposes the bitmap cache counters (Figure 6's metrics).
 func (s *Server) CacheStats() bitmapcache.Stats { return s.cache.Stats() }
 
-// Update implements proto.Server: all operations of one screen update are
-// encoded as orders inside a single PDU — the batching that gives RDP its
-// small message counts and large average message size.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	return s.UpdateScratch(ops, &proto.Scratch{})
-}
+// Update implements proto.Server with proto.UpdateOps.
+func (s *Server) Update(ops []display.Op) []proto.Message { return proto.UpdateOps(s, ops) }
 
-// UpdateScratch implements proto.ScratchServer by unboxing the op slice
-// onto the server's scratch tape and delegating to UpdateTape, so the two
-// entry points share one encoder and stay byte-identical by construction.
-func (s *Server) UpdateScratch(ops []display.Op, sc *proto.Scratch) []proto.Message {
-	if len(ops) == 0 {
-		return nil
-	}
-	s.enc.Reset()
-	s.enc.AppendOps(ops)
-	return s.UpdateTape(&s.enc, 0, s.enc.Len(), sc)
-}
-
-// UpdateTape implements proto.TapeServer: tape entries [from, to) are
-// encoded as orders inside a single PDU written into caller-owned scratch.
-// This is the steady-state form — no op is boxed, and a warm Scratch makes
-// the whole encode allocation-free.
+// UpdateTape implements proto.Server: all operations of one screen update
+// are encoded as orders inside a single PDU — the batching that gives RDP
+// its small message counts and large average message size.
 //
 //thinlint:hotpath
 func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
@@ -296,42 +274,17 @@ func (s *Server) encodeText(w *proto.Writer, x, y int, text []byte, color byte) 
 
 // DecodeInput implements proto.Server.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
-	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
-	}
-	r := proto.NewReader(m.Payload)
-	r.Skip(pduHeaderSize)
-	n := int(r.U16())
-	events := make([]display.InputEvent, 0, n)
-	for i := 0; i < n; i++ {
-		switch kind := r.U8(); kind {
-		case inKey:
-			flags := r.U8()
-			code := r.U16()
-			events = append(events, display.KeyEvent{Down: flags&1 != 0, Code: code})
-		case inMouse:
-			x, y := r.I16(), r.I16()
-			events = append(events, display.MouseMove{X: int(x), Y: int(y)})
-		case inButton:
-			flags := r.U8()
-			btn := r.U8()
-			events = append(events, display.MouseButton{Down: flags&1 != 0, Button: btn})
-		default:
-			return nil, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind)
-		}
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
+	return proto.DecodeWith(m, s.walkInput)
 }
 
-// ValidateInput implements proto.InputValidator: the structural walk of
-// DecodeInput without materializing events. The two must accept and
-// reject identical messages.
+// ValidateInput implements proto.Server.
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.walkInput(m, nil) }
+
+// walkInput is the one structural walk of an input PDU, returning its
+// event count; events are appended to sink when it is non-nil.
 //
 //thinlint:hotpath
-func (s *Server) ValidateInput(m proto.Message) (int, error) {
+func (s *Server) walkInput(m proto.Message, sink *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
 		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 	}
@@ -341,11 +294,22 @@ func (s *Server) ValidateInput(m proto.Message) (int, error) {
 	for i := 0; i < n; i++ {
 		switch kind := r.U8(); kind {
 		case inKey:
-			r.Skip(3)
+			flags := r.U8()
+			code := r.U16()
+			if sink != nil {
+				*sink = append(*sink, display.KeyEvent{Down: flags&1 != 0, Code: code}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case inMouse:
-			r.Skip(4)
+			x, y := r.I16(), r.I16()
+			if sink != nil {
+				*sink = append(*sink, display.MouseMove{X: int(x), Y: int(y)}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case inButton:
-			r.Skip(2)
+			flags := r.U8()
+			btn := r.U8()
+			if sink != nil {
+				*sink = append(*sink, display.MouseButton{Down: flags&1 != 0, Button: btn}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		default:
 			return 0, fmt.Errorf("%w: unknown input kind %d", proto.ErrBadMessage, kind) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 		}
@@ -440,7 +404,7 @@ func NewScreenlessClient(cfg Config) *Client {
 // Name implements proto.Client.
 func (c *Client) Name() string { return "rdp" }
 
-// ResetSession implements proto.SessionReusable: the client returns to its
+// ResetSession implements proto.Client: the client returns to its
 // freshly constructed state — cleared screen, empty bitmap and glyph slot
 // stores — retaining the framebuffer and map allocations.
 func (c *Client) ResetSession() {
@@ -588,16 +552,15 @@ func (c *Client) applyOrder(r *proto.Reader) error {
 	return nil
 }
 
-// EncodeInput implements proto.Client: all events gathered during one
-// client flush interval are coalesced into a single input PDU with compact
-// per-event encodings — the behavior behind RDP's 16x input byte advantage
-// over X in the paper's workload table.
+// EncodeInput implements proto.Client.
 func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
 	return c.EncodeInputScratch(events, &proto.Scratch{})
 }
 
-// EncodeInputScratch implements proto.ScratchClient: EncodeInput into
-// caller-owned scratch, the zero-allocation steady-state form.
+// EncodeInputScratch implements proto.Client: all events gathered during
+// one client flush interval are coalesced into a single input PDU with
+// compact per-event encodings — the behavior behind RDP's 16x input byte
+// advantage over X in the paper's workload table.
 //
 //thinlint:hotpath
 func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
@@ -639,12 +602,8 @@ func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scrat
 
 // Compile-time interface conformance.
 var (
-	_ proto.Server         = (*Server)(nil)
-	_ proto.Client         = (*Client)(nil)
-	_ proto.ScratchServer  = (*Server)(nil)
-	_ proto.TapeServer     = (*Server)(nil)
-	_ proto.ScratchClient  = (*Client)(nil)
-	_ proto.InputValidator = (*Server)(nil)
+	_ proto.Server = (*Server)(nil)
+	_ proto.Client = (*Client)(nil)
 )
 
 // sampleMotion decimates mouse-motion events down to at most max samples,

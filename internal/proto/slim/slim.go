@@ -52,14 +52,7 @@ func DefaultConfig() Config {
 // reused so steady-state encoding allocates nothing.)
 type Server struct {
 	cfg   Config
-	spans []cmdSpan
-	enc   display.OpTape
-}
-
-// cmdSpan records where one command landed in the shared payload buffer.
-type cmdSpan struct {
-	start, end int
-	kind       string
+	spans []proto.Span
 }
 
 // NewServer builds the application-side endpoint.
@@ -73,31 +66,24 @@ func NewServer(cfg Config) *Server {
 // Name implements proto.Server.
 func (s *Server) Name() string { return "slim" }
 
+// ResetSession implements proto.Server. The protocol is stateless, so
+// there is nothing to reset.
+func (s *Server) ResetSession() {}
+
 // SetupBytes implements proto.Server: SLIM's session setup is a minimal
 // authentication and display-geometry exchange through the authentication
 // manager.
 func (s *Server) SetupBytes() int { return 642 }
 
-// Update implements proto.Server: each operation becomes one command
-// message (SLIM has no batching layer; the wire unit is the command).
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	return s.UpdateScratch(ops, &proto.Scratch{})
-}
+// Update implements proto.Server with proto.UpdateOps.
+func (s *Server) Update(ops []display.Op) []proto.Message { return proto.UpdateOps(s, ops) }
 
-// UpdateScratch implements proto.ScratchServer by unboxing the op slice
-// onto the server's scratch tape and delegating to UpdateTape, so the two
-// entry points share one encoder and stay byte-identical by construction.
-func (s *Server) UpdateScratch(ops []display.Op, sc *proto.Scratch) []proto.Message {
-	s.enc.Reset()
-	s.enc.AppendOps(ops)
-	return s.UpdateTape(&s.enc, 0, s.enc.Len(), sc)
-}
-
-// UpdateTape implements proto.TapeServer: the per-entry command messages
-// are carved out of one shared payload arena — commands are encoded back to
-// back with their offsets recorded, then sliced once the buffer has stopped
-// growing — so a steady-state echo burst reuses a single buffer and message
-// slice instead of allocating per command.
+// UpdateTape implements proto.Server: each tape entry becomes one command
+// message (SLIM has no batching layer; the wire unit is the command). The
+// commands are encoded back to back into one shared payload arena and
+// carved into messages once it has stopped growing, so a steady-state echo
+// burst reuses a single buffer and message slice instead of allocating per
+// command.
 //
 //thinlint:hotpath
 func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
@@ -106,16 +92,10 @@ func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) 
 	for i := from; i < to; i++ {
 		start := w.Len()
 		kind := encodeEntry(&w, t, i)
-		spans = append(spans, cmdSpan{start: start, end: w.Len(), kind: kind})
+		spans = append(spans, proto.Span{Start: start, End: w.Len(), Kind: kind})
 	}
 	s.spans = spans
-	b := w.Bytes()
-	sc.Buf = b
-	sc.Msgs = sc.Msgs[:0]
-	for _, sp := range spans {
-		sc.Msgs = append(sc.Msgs, proto.Message{Channel: proto.Display, Kind: sp.kind, Payload: b[sp.start:sp.end]})
-	}
-	return sc.Msgs
+	return proto.Carve(sc, w.Bytes(), proto.Display, spans)
 }
 
 func cmdHeader(w *proto.Writer, op uint8, x, y, width, height int) {
@@ -190,39 +170,17 @@ func encodeEntry(w *proto.Writer, t *display.OpTape, i int) string {
 
 // DecodeInput implements proto.Server.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
-	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
-	}
-	r := proto.NewReader(m.Payload)
-	var events []display.InputEvent
-	for r.Remaining() > 0 {
-		switch typ := r.U8(); typ {
-		case inKey:
-			flags := r.U8()
-			code := r.U16()
-			events = append(events, display.KeyEvent{Down: flags&1 != 0, Code: code})
-		case inPointer:
-			x, y := r.I16(), r.I16()
-			events = append(events, display.MouseMove{X: int(x), Y: int(y)})
-		case inButton:
-			flags := r.U8()
-			events = append(events, display.MouseButton{Down: flags&1 != 0, Button: flags >> 1})
-		default:
-			return nil, fmt.Errorf("%w: unknown input type %d", proto.ErrBadMessage, typ)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return events, nil
+	return proto.DecodeWith(m, s.walkInput)
 }
 
-// ValidateInput implements proto.InputValidator: DecodeInput's structural
-// walk without materializing the event slice. The two must accept and
-// reject identical messages.
+// ValidateInput implements proto.Server.
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.walkInput(m, nil) }
+
+// walkInput is the one structural walk of an input message, returning its
+// event count; events are appended to sink when it is non-nil.
 //
 //thinlint:hotpath
-func (s *Server) ValidateInput(m proto.Message) (int, error) {
+func (s *Server) walkInput(m proto.Message, sink *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
 		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 	}
@@ -231,18 +189,28 @@ func (s *Server) ValidateInput(m proto.Message) (int, error) {
 	for r.Remaining() > 0 {
 		switch typ := r.U8(); typ {
 		case inKey:
-			r.Skip(3) // flags, code
+			flags := r.U8()
+			code := r.U16()
+			if sink != nil {
+				*sink = append(*sink, display.KeyEvent{Down: flags&1 != 0, Code: code}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case inPointer:
-			r.Skip(4) // x, y
+			x, y := r.I16(), r.I16()
+			if sink != nil {
+				*sink = append(*sink, display.MouseMove{X: int(x), Y: int(y)}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case inButton:
-			r.Skip(1) // flags
+			flags := r.U8()
+			if sink != nil {
+				*sink = append(*sink, display.MouseButton{Down: flags&1 != 0, Button: flags >> 1}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		default:
 			return 0, fmt.Errorf("%w: unknown input type %d", proto.ErrBadMessage, typ) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 		}
-		n++
 		if err := r.Err(); err != nil {
 			return 0, err
 		}
+		n++
 	}
 	return n, nil
 }
@@ -277,6 +245,14 @@ func (c *Client) Name() string { return "slim" }
 
 // Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
+
+// ResetSession implements proto.Client: a cleared screen, keeping the
+// framebuffer allocation.
+func (c *Client) ResetSession() {
+	if c.fb != nil {
+		c.fb.Reset()
+	}
+}
 
 // Apply implements proto.Client.
 func (c *Client) Apply(m proto.Message) error {
@@ -340,14 +316,13 @@ func (c *Client) Apply(m proto.Message) error {
 	return nil
 }
 
-// EncodeInput implements proto.Client: compact fixed events sharing one
-// flush write.
+// EncodeInput implements proto.Client.
 func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
 	return c.EncodeInputScratch(events, &proto.Scratch{})
 }
 
-// EncodeInputScratch implements proto.ScratchClient: EncodeInput into
-// caller-owned scratch, the zero-allocation steady-state form.
+// EncodeInputScratch implements proto.Client: compact fixed events sharing
+// one flush write.
 //
 //thinlint:hotpath
 func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
@@ -383,10 +358,6 @@ func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scrat
 
 // Compile-time interface conformance.
 var (
-	_ proto.Server         = (*Server)(nil)
-	_ proto.Client         = (*Client)(nil)
-	_ proto.ScratchServer  = (*Server)(nil)
-	_ proto.TapeServer     = (*Server)(nil)
-	_ proto.ScratchClient  = (*Client)(nil)
-	_ proto.InputValidator = (*Server)(nil)
+	_ proto.Server = (*Server)(nil)
+	_ proto.Client = (*Client)(nil)
 )

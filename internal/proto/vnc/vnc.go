@@ -60,12 +60,10 @@ type Server struct {
 
 	// Encoder scratch, reused across updates so the steady-state echo
 	// pipeline allocates nothing: the pending damage list, the RRE
-	// subrectangle analysis, the RRE body buffer, and the tape
-	// UpdateScratch unboxes onto before delegating to UpdateTape.
+	// subrectangle analysis, and the RRE body buffer.
 	pending []display.Rect
 	subs    []rreSub
 	rreBuf  []byte
-	enc     display.OpTape
 }
 
 // NewServer builds the application-side endpoint.
@@ -78,6 +76,13 @@ func NewServer(cfg Config) *Server {
 
 // Name implements proto.Server.
 func (s *Server) Name() string { return "vnc" }
+
+// ResetSession implements proto.Server: a cleared server framebuffer and
+// no pointer state, keeping the framebuffer and scratch allocations.
+func (s *Server) ResetSession() {
+	s.fb.Reset()
+	s.lastX, s.lastY = 0, 0
+}
 
 // Framebuffer exposes the server's rendering, for tests.
 func (s *Server) Framebuffer() *display.Framebuffer { return s.fb }
@@ -92,8 +97,12 @@ func (s *Server) SetupBytes() int {
 		24 + len("thinbench-vnc") // ServerInit + name
 }
 
-// Update implements proto.Server: apply the ops to the server framebuffer,
-// then ship one FramebufferUpdate carrying a rectangle per damaged region.
+// Update implements proto.Server with proto.UpdateOps.
+func (s *Server) Update(ops []display.Op) []proto.Message { return proto.UpdateOps(s, ops) }
+
+// UpdateTape implements proto.Server: apply the tape entries [from, to) to
+// the server framebuffer, then ship one FramebufferUpdate carrying a
+// rectangle per damaged region.
 // On-screen copies (scrolling) become CopyRect rectangles — RFB's answer
 // to scroll traffic; other damage merges where it overlaps, as a real RFB
 // server's region tracking behaves.
@@ -102,28 +111,11 @@ func (s *Server) SetupBytes() int {
 // so pixel damage preceding a copy must be encoded from the server
 // framebuffer as it stood before the copy executed. Pending damage is
 // therefore encoded ("flushed") the moment a copy op arrives.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	return s.UpdateScratch(ops, &proto.Scratch{})
-}
-
-// UpdateScratch implements proto.ScratchServer by unboxing the op slice
-// onto the server's scratch tape and delegating to UpdateTape, so the two
-// entry points share one encoder and stay byte-identical by construction.
-func (s *Server) UpdateScratch(ops []display.Op, sc *proto.Scratch) []proto.Message {
-	if len(ops) == 0 {
-		return nil
-	}
-	s.enc.Reset()
-	s.enc.AppendOps(ops)
-	return s.UpdateTape(&s.enc, 0, s.enc.Len(), sc)
-}
-
-// UpdateTape implements proto.TapeServer: tape entries [from, to) render
-// into the server framebuffer through the concrete apply forms and encode
-// into caller-owned scratch. Rectangles are written straight into one
-// payload buffer in flush order with the rectangle count patched into the
-// header afterward, and the damage list and RRE analysis scratch are reused
-// across updates, so a warm encode allocates nothing.
+//
+// Rectangles are written straight into one payload buffer in flush order
+// with the rectangle count patched into the header afterward, and the
+// damage list and RRE analysis scratch are reused across updates, so a
+// warm encode allocates nothing.
 //
 //thinlint:hotpath
 func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
@@ -313,50 +305,22 @@ type rreSub struct {
 	color   byte
 }
 
-// DecodeInput implements proto.Server: fixed-size RFB client messages, one
-// per event.
+// DecodeInput implements proto.Server.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
-	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
-	}
-	r := proto.NewReader(m.Payload)
-	var events []display.InputEvent
-	for r.Remaining() > 0 {
-		switch typ := r.U8(); typ {
-		case msgKeyEvent:
-			down := r.U8()
-			r.U16() // pad
-			key := r.U32()
-			events = append(events, display.KeyEvent{Down: down != 0, Code: uint16(key)})
-		case msgPointerEvent:
-			mask := r.U8()
-			x, y := r.I16(), r.I16()
-			// Distinguish motion from clicks the way an RFB server does:
-			// track pointer and button state.
-			if int(x) != s.lastX || int(y) != s.lastY {
-				events = append(events, display.MouseMove{X: int(x), Y: int(y)})
-				s.lastX, s.lastY = int(x), int(y)
-			}
-			if mask&0x80 != 0 {
-				events = append(events, display.MouseButton{Down: mask&1 != 0, Button: (mask >> 1) & 0x7})
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown client message %d", proto.ErrBadMessage, typ)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return events, nil
+	return proto.DecodeWith(m, s.walkInput)
 }
 
-// ValidateInput implements proto.InputValidator: the structural walk of
-// DecodeInput — including the pointer-state tracking that distinguishes
-// motion from clicks — without materializing the event slice. The two
-// must accept and reject identical messages and leave identical state.
+// ValidateInput implements proto.Server.
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.walkInput(m, nil) }
+
+// walkInput is the one walk of an input message — fixed-size RFB client
+// messages, one per event — returning the event count; events are
+// appended to sink when it is non-nil. Pointer messages become motion
+// only when the position changed, the way an RFB server tracks pointer and
+// button state, so the walk updates that state with or without a sink.
 //
 //thinlint:hotpath
-func (s *Server) ValidateInput(m proto.Message) (int, error) {
+func (s *Server) walkInput(m proto.Message, sink *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
 		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input PDU, never in steady state
 	}
@@ -365,16 +329,27 @@ func (s *Server) ValidateInput(m proto.Message) (int, error) {
 	for r.Remaining() > 0 {
 		switch typ := r.U8(); typ {
 		case msgKeyEvent:
-			r.Skip(7) // down, pad, keysym
+			down := r.U8()
+			r.U16() // pad
+			key := r.U32()
+			if sink != nil {
+				*sink = append(*sink, display.KeyEvent{Down: down != 0, Code: uint16(key)}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 			n++
 		case msgPointerEvent:
 			mask := r.U8()
 			x, y := r.I16(), r.I16()
 			if int(x) != s.lastX || int(y) != s.lastY {
-				n++
 				s.lastX, s.lastY = int(x), int(y)
+				if sink != nil {
+					*sink = append(*sink, display.MouseMove{X: int(x), Y: int(y)}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+				}
+				n++
 			}
 			if mask&0x80 != 0 {
+				if sink != nil {
+					*sink = append(*sink, display.MouseButton{Down: mask&1 != 0, Button: (mask >> 1) & 0x7}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+				}
 				n++
 			}
 		default:
@@ -419,6 +394,15 @@ func (c *Client) Name() string { return "vnc" }
 
 // Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
+
+// ResetSession implements proto.Client: a cleared screen and no pointer
+// position, keeping the framebuffer allocation.
+func (c *Client) ResetSession() {
+	if c.fb != nil {
+		c.fb.Reset()
+	}
+	c.lastX, c.lastY = 0, 0
+}
 
 // Apply implements proto.Client.
 func (c *Client) Apply(m proto.Message) error {
@@ -486,15 +470,14 @@ func (c *Client) Apply(m proto.Message) error {
 	return r.Err()
 }
 
-// EncodeInput implements proto.Client: one fixed-size message per event,
-// all sharing a flush write (RFB clients write per event; the batch is one
-// socket write).
+// EncodeInput implements proto.Client.
 func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
 	return c.EncodeInputScratch(events, &proto.Scratch{})
 }
 
-// EncodeInputScratch implements proto.ScratchClient: EncodeInput into
-// caller-owned scratch, the zero-allocation steady-state form.
+// EncodeInputScratch implements proto.Client: one fixed-size message per
+// event, all sharing a flush write (RFB clients write per event; the batch
+// is one socket write).
 //
 //thinlint:hotpath
 func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
@@ -540,10 +523,6 @@ func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scrat
 
 // Compile-time interface conformance.
 var (
-	_ proto.Server         = (*Server)(nil)
-	_ proto.Client         = (*Client)(nil)
-	_ proto.ScratchServer  = (*Server)(nil)
-	_ proto.TapeServer     = (*Server)(nil)
-	_ proto.ScratchClient  = (*Client)(nil)
-	_ proto.InputValidator = (*Server)(nil)
+	_ proto.Server = (*Server)(nil)
+	_ proto.Client = (*Client)(nil)
 )

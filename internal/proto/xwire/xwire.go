@@ -45,9 +45,23 @@ const (
 	gcID       = 0x00400002
 )
 
-// Server encodes screen updates as X requests and decodes X events.
+// requestKinds names the X request each tape entry kind becomes, the
+// message kind both this codec and the LBX proxy report.
+var requestKinds = [...]string{
+	display.KindFill: "PolyFillRectangle",
+	display.KindCopy: "CopyArea",
+	display.KindText: "PolyText8",
+	display.KindBlit: "PutImage",
+}
+
+// RequestKind reports the X request a tape entry of kind k becomes.
+func RequestKind(k display.OpKind) string { return requestKinds[k] }
+
+// Server encodes screen updates as X requests and decodes X events. X
+// keeps no per-session encode state; spans is encoder scratch, reused so
+// steady-state encoding allocates nothing.
 type Server struct {
-	seq uint16
+	spans []proto.Span
 }
 
 // NewServer builds the application-side endpoint.
@@ -55,6 +69,10 @@ func NewServer() *Server { return &Server{} }
 
 // Name implements proto.Server.
 func (s *Server) Name() string { return "x" }
+
+// ResetSession implements proto.Server. The server keeps no session
+// state, so there is nothing to reset.
+func (s *Server) ResetSession() {}
 
 // setupBytesTotal sums SetupMessages once at package init so per-admission
 // SetupBytes calls don't rebuild the handshake exchange.
@@ -70,14 +88,73 @@ var setupBytesTotal = func() int {
 // cost. See SetupMessages for the breakdown.
 func (s *Server) SetupBytes() int { return setupBytesTotal }
 
-// Update implements proto.Server: every drawing operation becomes its own
-// request message — X has no server-side batching of the kind RDP performs.
-func (s *Server) Update(ops []display.Op) []proto.Message {
-	msgs := make([]proto.Message, 0, len(ops))
-	for _, op := range ops {
-		msgs = append(msgs, encodeRequest(op))
+// Update implements proto.Server with proto.UpdateOps.
+func (s *Server) Update(ops []display.Op) []proto.Message { return proto.UpdateOps(s, ops) }
+
+// UpdateTape implements proto.Server: every drawing operation becomes its
+// own request message — X has no server-side batching of the kind RDP
+// performs. The requests are encoded back to back into one scratch arena
+// and carved into messages once it has stopped growing.
+//
+//thinlint:hotpath
+func (s *Server) UpdateTape(t *display.OpTape, from, to int, sc *proto.Scratch) []proto.Message {
+	w := proto.WriterOver(sc.Buf)
+	spans := s.spans[:0]
+	for i := from; i < to; i++ {
+		start := w.Len()
+		encodeRequest(&w, t, i)
+		spans = append(spans, proto.Span{Start: start, End: w.Len(), Kind: RequestKind(t.Kind(i))})
 	}
-	return msgs
+	s.spans = spans
+	return proto.Carve(sc, w.Bytes(), proto.Display, spans)
+}
+
+// encodeRequest appends the X request for tape entry i. Every request is
+// a multiple of 4 bytes long, so the arena's absolute Pad4 pads each one
+// relative to its own start, as X requires.
+//
+//thinlint:hotpath
+func encodeRequest(w *proto.Writer, t *display.OpTape, i int) {
+	start := w.Len()
+	switch t.Kind(i) {
+	case display.KindFill:
+		r, color := t.FillAt(i)
+		reqHeader(w, opPolyFillRect, 0)
+		w.U32(drawableID).U32(gcID)
+		w.I16(int16(r.X)).I16(int16(r.Y))
+		w.U16(uint16(r.W)).U16(uint16(r.H))
+		w.U8(color).Zero(3)
+	case display.KindCopy:
+		src, dx, dy := t.CopyAt(i)
+		reqHeader(w, opCopyArea, 0)
+		w.U32(drawableID).U32(drawableID).U32(gcID)
+		w.I16(int16(src.X)).I16(int16(src.Y))
+		w.I16(int16(dx)).I16(int16(dy))
+		w.U16(uint16(src.W)).U16(uint16(src.H))
+	case display.KindBlit:
+		x, y, img := t.BlitAt(i)
+		reqHeader(w, opPutImage, 2 /* ZPixmap */)
+		w.U32(drawableID).U32(gcID)
+		w.U16(uint16(img.W)).U16(uint16(img.H))
+		w.I16(int16(x)).I16(int16(y))
+		w.U8(8 /* depth */).Zero(3)
+		w.Raw(img.Pix).Pad4()
+	case display.KindText:
+		x, y, text, color := t.TextAt(i)
+		if len(text) > 255 {
+			text = text[:255]
+		}
+		reqHeader(w, opPolyText8, 0)
+		w.U32(drawableID).U32(gcID)
+		w.I16(int16(x)).I16(int16(y))
+		w.U8(color).U8(uint8(len(text))).Zero(2)
+		w.Raw(text).Pad4()
+	}
+	// Patch the request's length field.
+	b := w.Bytes()
+	n := len(b) - start
+	b[start+2] = byte(n)
+	b[start+3] = byte(n >> 8)
 }
 
 func reqHeader(w *proto.Writer, opcode uint8, aux uint8) {
@@ -86,102 +163,51 @@ func reqHeader(w *proto.Writer, opcode uint8, aux uint8) {
 	w.U16(0)
 }
 
-func patchLength(w *proto.Writer) []byte {
-	b := w.Bytes()
-	n := len(b)
-	b[2] = byte(n)
-	b[3] = byte(n >> 8)
-	return b
-}
-
-func encodeRequest(op display.Op) proto.Message {
-	switch o := op.(type) {
-	case display.FillRect:
-		w := proto.NewWriter(24)
-		reqHeader(w, opPolyFillRect, 0)
-		w.U32(drawableID).U32(gcID)
-		w.I16(int16(o.Rect.X)).I16(int16(o.Rect.Y))
-		w.U16(uint16(o.Rect.W)).U16(uint16(o.Rect.H))
-		w.U8(o.Color).Zero(3)
-		return proto.Message{Channel: proto.Display, Kind: "PolyFillRectangle", Payload: patchLength(w)}
-	case display.CopyArea:
-		w := proto.NewWriter(28)
-		reqHeader(w, opCopyArea, 0)
-		w.U32(drawableID).U32(drawableID).U32(gcID)
-		w.I16(int16(o.Src.X)).I16(int16(o.Src.Y))
-		w.I16(int16(o.DstX)).I16(int16(o.DstY))
-		w.U16(uint16(o.Src.W)).U16(uint16(o.Src.H))
-		return proto.Message{Channel: proto.Display, Kind: "CopyArea", Payload: patchLength(w)}
-	case display.PutBitmap:
-		w := proto.NewWriter(24 + o.Img.Bytes() + 4)
-		reqHeader(w, opPutImage, 2 /* ZPixmap */)
-		w.U32(drawableID).U32(gcID)
-		w.U16(uint16(o.Img.W)).U16(uint16(o.Img.H))
-		w.I16(int16(o.X)).I16(int16(o.Y))
-		w.U8(8 /* depth */).Zero(3)
-		w.Raw(o.Img.Pix).Pad4()
-		return proto.Message{Channel: proto.Display, Kind: "PutImage", Payload: patchLength(w)}
-	case display.DrawText:
-		if len(o.Text) > 255 {
-			o.Text = o.Text[:255]
-		}
-		w := proto.NewWriter(16 + len(o.Text) + 4)
-		reqHeader(w, opPolyText8, 0)
-		w.U32(drawableID).U32(gcID)
-		w.I16(int16(o.X)).I16(int16(o.Y))
-		w.U8(o.Color).U8(uint8(len(o.Text))).Zero(2)
-		w.Raw([]byte(o.Text)).Pad4()
-		return proto.Message{Channel: proto.Display, Kind: "PolyText8", Payload: patchLength(w)}
-	default:
-		panic(fmt.Sprintf("xwire: unsupported op %T", op))
-	}
-}
-
-// DecodeInput implements proto.Server: an input message holds one or more
-// fixed 32-byte events.
+// DecodeInput implements proto.Server.
 func (s *Server) DecodeInput(m proto.Message) ([]display.InputEvent, error) {
+	return proto.DecodeWith(m, s.walkInput)
+}
+
+// ValidateInput implements proto.Server.
+func (s *Server) ValidateInput(m proto.Message) (int, error) { return s.walkInput(m, nil) }
+
+// walkInput is the one walk of an input message, one or more fixed 32-byte
+// events, returning the event count; events are appended to sink when it
+// is non-nil.
+//
+//thinlint:hotpath
+func (s *Server) walkInput(m proto.Message, sink *[]display.InputEvent) (int, error) {
 	if m.Channel != proto.Input {
-		return nil, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel)
+		return 0, fmt.Errorf("%w: input decode of %v message", proto.ErrBadMessage, m.Channel) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
 	}
 	if len(m.Payload)%EventSize != 0 {
-		return nil, fmt.Errorf("%w: input payload %d not a multiple of %d", proto.ErrBadMessage, len(m.Payload), EventSize)
+		return 0, fmt.Errorf("%w: input payload %d not a multiple of %d", proto.ErrBadMessage, len(m.Payload), EventSize) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
 	}
-	var events []display.InputEvent
 	for off := 0; off < len(m.Payload); off += EventSize {
 		r := proto.NewReader(m.Payload[off : off+EventSize])
 		typ := r.U8()
 		detail := r.U8()
-		r.U16() // sequence
-		r.U32() // time
-		r.U32() // root window
-		r.U32() // event window
-		r.U32() // child window
-		r.I16() // rootX
-		r.I16() // rootY
-		ex := r.I16()
-		ey := r.I16()
-		r.U16() // state
-		r.U8()  // same-screen
-		r.U8()  // pad
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
+		r.Skip(2 + 4 + 3*4 + 2*2) // sequence, time, root/event/child windows, root x/y
+		ex, ey := r.I16(), r.I16()
+		// State, same-screen and pad fill the rest of the 32 bytes.
 		switch typ {
-		case evKeyPress:
-			events = append(events, display.KeyEvent{Down: true, Code: uint16(detail)})
-		case evKeyRelease:
-			events = append(events, display.KeyEvent{Down: false, Code: uint16(detail)})
-		case evButtonPress:
-			events = append(events, display.MouseButton{Down: true, Button: detail})
-		case evButtonRelease:
-			events = append(events, display.MouseButton{Down: false, Button: detail})
+		case evKeyPress, evKeyRelease:
+			if sink != nil {
+				*sink = append(*sink, display.KeyEvent{Down: typ == evKeyPress, Code: uint16(detail)}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
+		case evButtonPress, evButtonRelease:
+			if sink != nil {
+				*sink = append(*sink, display.MouseButton{Down: typ == evButtonPress, Button: detail}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		case evMotionNotify:
-			events = append(events, display.MouseMove{X: int(ex), Y: int(ey)})
+			if sink != nil {
+				*sink = append(*sink, display.MouseMove{X: int(ex), Y: int(ey)}) //thinlint:allow hotpath.box event sink: nil on the validate-only echo path
+			}
 		default:
-			return nil, fmt.Errorf("%w: unknown event type %d", proto.ErrBadMessage, typ)
+			return 0, fmt.Errorf("%w: unknown event type %d", proto.ErrBadMessage, typ) //thinlint:allow hotpath error path: runs only on a malformed input message, never in steady state
 		}
 	}
-	return events, nil
+	return len(m.Payload) / EventSize, nil
 }
 
 // Client decodes X requests into a framebuffer and encodes input events.
@@ -207,6 +233,15 @@ func (c *Client) Name() string { return "x" }
 
 // Framebuffer implements proto.Client; it is nil for a screenless client.
 func (c *Client) Framebuffer() *display.Framebuffer { return c.fb }
+
+// ResetSession implements proto.Client: a cleared screen and a restarted
+// event sequence, keeping the framebuffer allocation.
+func (c *Client) ResetSession() {
+	if c.fb != nil {
+		c.fb.Reset()
+	}
+	c.seq = 0
+}
 
 // Apply implements proto.Client. Image pixels and text bytes render
 // straight from the payload; no op is materialized.
@@ -239,29 +274,8 @@ type request struct {
 	data       []byte
 }
 
-// DecodeRequest parses one encoded X request into a drawing operation.
-// It is exported for the LBX proxy, which transcodes X requests.
-func DecodeRequest(payload []byte) (display.Op, error) {
-	q, err := parseRequest(payload)
-	if err != nil {
-		return nil, err
-	}
-	switch q.opcode {
-	case opPolyFillRect:
-		return display.FillRect{Rect: q.rect, Color: q.color}, nil
-	case opCopyArea:
-		return display.CopyArea{Src: q.rect, DstX: q.dstX, DstY: q.dstY}, nil
-	case opPutImage:
-		img := display.NewBitmap(q.rect.W, q.rect.H)
-		copy(img.Pix, q.data)
-		return display.PutBitmap{X: q.rect.X, Y: q.rect.Y, Img: img}, nil
-	default: // opPolyText8
-		return display.DrawText{X: q.rect.X, Y: q.rect.Y, Text: string(q.data), Color: q.color}, nil
-	}
-}
-
-// parseRequest is the one structural walk of an X request, shared by
-// DecodeRequest and Client.Apply.
+// parseRequest is the one structural walk of an X request, for
+// Client.Apply.
 func parseRequest(payload []byte) (request, error) {
 	r := proto.NewReader(payload)
 	q := request{opcode: r.U8()}
@@ -317,14 +331,21 @@ func parseRequest(payload []byte) (request, error) {
 	return q, nil
 }
 
-// EncodeInput implements proto.Client: each event is a fixed 32-byte X
-// event; events gathered in one flush share one message (one write to the
-// socket), matching how an X server flushes its event queue.
+// EncodeInput implements proto.Client.
 func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
+	return c.EncodeInputScratch(events, &proto.Scratch{})
+}
+
+// EncodeInputScratch implements proto.Client: each event is a fixed
+// 32-byte X event; events gathered in one flush share one message (one
+// write to the socket), matching how an X server flushes its event queue.
+//
+//thinlint:hotpath
+func (c *Client) EncodeInputScratch(events []display.InputEvent, sc *proto.Scratch) []proto.Message {
 	if len(events) == 0 {
 		return nil
 	}
-	w := proto.NewWriter(len(events) * EventSize)
+	w := proto.WriterOver(sc.Buf)
 	for _, ev := range events {
 		c.seq++
 		var typ, detail uint8
@@ -358,7 +379,10 @@ func (c *Client) EncodeInput(events []display.InputEvent) []proto.Message {
 		w.U16(0)          // modifier state
 		w.U8(1).U8(0)     // same-screen + pad
 	}
-	return []proto.Message{{Channel: proto.Input, Kind: "Events", Payload: w.Bytes()}}
+	b := w.Bytes()
+	sc.Buf = b
+	sc.Msgs = append(sc.Msgs[:0], proto.Message{Channel: proto.Input, Kind: "Events", Payload: b})
+	return sc.Msgs
 }
 
 // SetupMessages builds the connection establishment exchange. Component

@@ -51,12 +51,14 @@ func TestEveryEventIs32Bytes(t *testing.T) {
 	}
 }
 
-func TestDecodeRequestRejectsGarbage(t *testing.T) {
-	if _, err := DecodeRequest([]byte{99, 0, 4, 0}); err == nil {
-		t.Fatal("unknown opcode accepted")
-	}
-	if _, err := DecodeRequest([]byte{70, 0}); err == nil {
-		t.Fatal("truncated request accepted")
+func TestApplyRejectsGarbage(t *testing.T) {
+	for _, cli := range []*Client{NewClient(100, 100), NewScreenlessClient()} {
+		if err := cli.Apply(proto.Message{Channel: proto.Display, Payload: []byte{99, 0, 4, 0}}); err == nil {
+			t.Fatal("unknown opcode accepted")
+		}
+		if err := cli.Apply(proto.Message{Channel: proto.Display, Payload: []byte{70, 0}}); err == nil {
+			t.Fatal("truncated request accepted")
+		}
 	}
 }
 

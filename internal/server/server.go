@@ -382,9 +382,8 @@ type Server struct {
 
 // sessionRes is one departed session's recyclable wiring: the detached
 // session record (manifest processes and pipeline threads), the session's
-// background thread if it had one, and — when the protocol endpoints
-// implement proto.SessionReusable — the codec pair, reset to pristine at
-// park time so reuse cannot change wire bytes.
+// background thread if it had one, and its codec pair (nil in model mode),
+// reset to pristine at park time so reuse cannot change wire bytes.
 type sessionRes struct {
 	user *session.User
 	bg   *sched.Thread
@@ -408,15 +407,8 @@ type userState struct {
 	pooledUser *session.User
 	psrv       proto.Server // nil in model mode
 	pcli       proto.Client
-	// psrvTape, pcliSc, and psrvVal cache the tape-encoding, scratch, and
-	// validate-only interfaces of psrv/pcli (nil when the protocol lacks
-	// one), so the per-keystroke path does a field load instead of a type
-	// assertion.
-	psrvTape proto.TapeServer
-	pcliSc   proto.ScratchClient
-	psrvVal  proto.InputValidator
-	ws       *vm.Process
-	bg       *sched.Thread
+	ws         *vm.Process
+	bg         *sched.Thread
 	// aborted marks a session whose logout fired before its login finished
 	// (a connection dying mid-handshake): the login never completes.
 	// loginDone marks that the arrival's whole admission — handshake,
@@ -436,23 +428,11 @@ type userState struct {
 
 	// tape is the reused pointer-free op stream for echo updates and
 	// echoText the session's precomputed caret glyph; together they keep
-	// sendEcho from boxing or allocating anything per interaction. ops is
-	// the materialized fallback buffer for interface-only protocols
-	// (xwire, lbx) without a tape encoder. Protocol encoders consume the
-	// tape and slice synchronously, never retaining them, so reuse is
-	// safe.
+	// sendEcho from boxing or allocating anything per interaction.
+	// Protocol encoders consume the tape synchronously, never retaining
+	// it, so reuse is safe.
 	tape     display.OpTape
-	ops      []display.Op
 	echoText string
-}
-
-// echoFallbackOps rebuilds the one-op echo slice for protocols without a
-// tape encoder. It lives outside the annotated hot path: the display.Op
-// boxing here is the interface cost those protocols' Update API demands,
-// paid only on the xwire/lbx fallback.
-func (u *userState) echoFallbackOps(x, y int) []display.Op {
-	u.ops = append(u.ops[:0], display.DrawText{X: x, Y: y, Text: u.echoText, Color: 0})
-	return u.ops
 }
 
 // echoOp is one in-flight interaction transfer: the encoded messages of a
@@ -614,11 +594,6 @@ func (s *Server) attach(u *userState) error {
 			return err
 		}
 		u.psrv, u.pcli = psrv, pcli
-	}
-	if u.psrv != nil {
-		u.psrvTape, _ = u.psrv.(proto.TapeServer)
-		u.pcliSc, _ = u.pcli.(proto.ScratchClient)
-		u.psrvVal, _ = u.psrv.(proto.InputValidator)
 	}
 	s.active[u.idx] = true
 	s.cur++
@@ -871,10 +846,9 @@ func (s *Server) admit(u *userState, now simclock.Time) {
 	}
 	setup := s.cfg.SetupBytes
 	if n := len(s.sessionPool); n > 0 {
-		// A predecessor's wiring: the session record and background thread
-		// always; the codec pair only when the protocol parked one (reset
-		// to pristine at park time, so wire bytes are identical to a fresh
-		// pair's).
+		// A predecessor's wiring: the session record, background thread
+		// and codec pair (nil in model mode; reset to pristine at park
+		// time, so wire bytes are identical to a fresh pair's).
 		r := s.sessionPool[n-1]
 		s.sessionPool[n-1] = sessionRes{}
 		s.sessionPool = s.sessionPool[:n-1]
@@ -1002,20 +976,15 @@ func (s *Server) depart(u *userState, now simclock.Time) {
 }
 
 // parkSession saves a departed session's reusable wiring for a later
-// arrival: the detached session record and background thread always; the
-// codec pair only when both endpoints implement proto.SessionReusable, in
-// which case they are reset to pristine here so a reused pair's wire bytes
-// cannot differ from a fresh one's.
+// arrival: the detached session record, background thread and codec pair.
+// The pair is reset to pristine here so a reused pair's wire bytes cannot
+// differ from a fresh one's.
 func (s *Server) parkSession(u *userState) {
-	r := sessionRes{user: u.User, bg: u.bg}
-	if ps, ok := u.psrv.(proto.SessionReusable); ok {
-		if pc, ok := u.pcli.(proto.SessionReusable); ok {
-			ps.ResetSession()
-			pc.ResetSession()
-			r.psrv, r.pcli = u.psrv, u.pcli
-		}
+	if u.psrv != nil {
+		u.psrv.ResetSession()
+		u.pcli.ResetSession()
 	}
-	s.sessionPool = append(s.sessionPool, r)
+	s.sessionPool = append(s.sessionPool, sessionRes{user: u.User, bg: u.bg, psrv: u.psrv, pcli: u.pcli})
 }
 
 // EchoHistogram buckets every echo-latency sample Run collected
@@ -1129,13 +1098,7 @@ func (s *Server) opDelivered(now simclock.Time, a, b int) {
 		// round-trip (the decoded events themselves are discarded — the
 		// interaction is already identified by the op), then run the
 		// server side of the interaction.
-		var err error
-		if u.psrvVal != nil {
-			_, err = u.psrvVal.ValidateInput(m)
-		} else {
-			_, err = u.psrv.DecodeInput(m)
-		}
-		if err != nil && s.err == nil {
+		if _, err := u.psrv.ValidateInput(m); err != nil && s.err == nil {
 			s.err = fmt.Errorf("server: user %d input decode: %w", u.idx, err) //thinlint:allow hotpath first-error capture: runs at most once per simulation
 		}
 		idx := op.idx
@@ -1181,11 +1144,7 @@ func (s *Server) keystroke(u *userState, at simclock.Time, events []display.Inpu
 		return
 	}
 	op, id := s.acquireOp(u.idx, idx, true)
-	if u.pcliSc != nil {
-		op.msgs = u.pcliSc.EncodeInputScratch(events, &op.sc)
-	} else {
-		op.msgs = u.pcli.EncodeInput(events)
-	}
+	op.msgs = u.pcli.EncodeInputScratch(events, &op.sc)
 	for i, m := range op.msgs {
 		ok := false
 		if i == len(op.msgs)-1 {
@@ -1279,13 +1238,9 @@ func (s *Server) sendEcho(u *userState, idx int) {
 	x, y := 56+(col%70)*display.GlyphW, 80+(col/70%24)*16
 	s.col[u.idx] = col + 1
 	op, id := s.acquireOp(u.idx, idx, false)
-	if u.psrvTape != nil {
-		u.tape.Reset()
-		u.tape.Text(x, y, u.echoText, 0)
-		op.msgs = u.psrvTape.UpdateTape(&u.tape, 0, u.tape.Len(), &op.sc)
-	} else {
-		op.msgs = u.psrv.Update(u.echoFallbackOps(x, y))
-	}
+	u.tape.Reset()
+	u.tape.Text(x, y, u.echoText, 0)
+	op.msgs = u.psrv.UpdateTape(&u.tape, 0, u.tape.Len(), &op.sc)
 	for i, m := range op.msgs {
 		op.sends++
 		if !s.link.SendArgs(m.Size()+netsim.TCPIPHeaderBytes, s.opDeliveredFn, id, i) {

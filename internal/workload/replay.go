@@ -26,17 +26,14 @@ type ReplayOpts struct {
 // applied by the client (so decoding is verified as a side effect); input
 // batches are encoded by the client and decoded by the server.
 //
-// Servers implementing proto.TapeServer encode straight from the trace's op
-// tape into reused scratch — no op is boxed and no payload buffer is
-// allocated per batch (every protocol client copies what it keeps out of a
-// payload before Apply returns, so reusing the scratch across batches is
-// safe). Other servers get the batch materialized as boxed ops.
+// The server encodes straight from the trace's op tape into reused
+// scratch — no op is boxed and no payload buffer is allocated per batch
+// (every protocol client copies what it keeps out of a payload before
+// Apply returns, so reusing the scratch across batches is safe).
 func Replay(tr Trace, srv proto.Server, cli proto.Client, rec *trace.Recorder, opts ReplayOpts) error {
 	inputs := coalesceInput(tr.Input, opts.InputCoalesce)
 	displays := coalesceDisplay(tr.Display, opts.DisplayCoalesce)
-	ts, _ := srv.(proto.TapeServer)
 	var sc proto.Scratch
-	var opsBuf []display.Op
 	di, ii := 0, 0
 	for di < len(displays) || ii < len(inputs) {
 		nextDisplay := di < len(displays) &&
@@ -44,14 +41,7 @@ func Replay(tr Trace, srv proto.Server, cli proto.Client, rec *trace.Recorder, o
 		if nextDisplay {
 			b := displays[di]
 			di++
-			var msgs []proto.Message
-			if ts != nil {
-				msgs = ts.UpdateTape(b.Tape, b.From, b.To, &sc)
-			} else {
-				opsBuf = b.Tape.AppendTo(opsBuf[:0], b.From, b.To)
-				msgs = srv.Update(opsBuf)
-			}
-			for _, m := range msgs {
+			for _, m := range srv.UpdateTape(b.Tape, b.From, b.To, &sc) {
 				if rec != nil {
 					rec.Record(b.At, m)
 				}
