@@ -3,6 +3,7 @@ package protos_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"thinbench/internal/display"
@@ -14,10 +15,11 @@ import (
 // transcript drives a codec pair with 60 rounds of random display and
 // input traffic drawn from seed and records everything observable: every
 // display and input message's bytes, every Apply verdict, every decoded
-// event and ValidateInput count, and the final framebuffer hash. With
-// garbage set, every fifth round also feeds each side the first half of
-// its last message — a dangling lbx chunk, a half-decoded motion pack —
-// so the pair is left in as much mid-stream state as the codec has.
+// event and ValidateInput count, any client cache counts after each
+// update, and the final framebuffer hash. It opens with pointerProbe.
+// With garbage set, every fifth round also feeds each side the first half
+// of its first message — a dangling lbx chunk, a half-decoded motion
+// pack — so the pair is left in as much mid-stream state as the codec has.
 func transcript(t *testing.T, srv proto.Server, cli proto.Client, seed uint64, garbage bool) []string {
 	t.Helper()
 	g := &opGen{r: simclock.NewRand(seed), w: display.TypicalScreenW, h: display.TypicalScreenH}
@@ -25,6 +27,10 @@ func transcript(t *testing.T, srv proto.Server, cli proto.Client, seed uint64, g
 	var out []string
 	var tape display.OpTape
 	var dsc, isc proto.Scratch
+	for _, m := range cli.EncodeInputScratch(pointerProbe, &isc) {
+		events, err := srv.DecodeInput(m)
+		out = append(out, fmt.Sprintf("probe %x decode=%#v,%v", m.Payload, events, err))
+	}
 	for round := 0; round < 60; round++ {
 		tape.Reset()
 		tape.AppendOps(g.batch())
@@ -32,8 +38,11 @@ func transcript(t *testing.T, srv proto.Server, cli proto.Client, seed uint64, g
 		for _, m := range msgs {
 			out = append(out, fmt.Sprintf("display %s %x apply=%v", m.Kind, m.Payload, cli.Apply(m)))
 		}
+		if cc, ok := cli.(cacheCounter); ok {
+			out = append(out, fmt.Sprintf("cached %d bitmaps, %d glyphs", cc.CachedBitmaps(), cc.CachedGlyphs()))
+		}
 		if garbage && round%5 == 4 && len(msgs) > 0 {
-			m := msgs[len(msgs)-1]
+			m := msgs[0]
 			m.Payload = m.Payload[:len(m.Payload)/2]
 			out = append(out, fmt.Sprintf("garbage display apply=%v", cli.Apply(m)))
 		}
@@ -56,6 +65,12 @@ func transcript(t *testing.T, srv proto.Server, cli proto.Client, seed uint64, g
 	}
 	return out
 }
+
+// pointerProbe is a click and a small move from the origin: any endpoint
+// still holding an old pointer position (vnc's click position and motion
+// filter, lbx's motion deltas) encodes or decodes it differently from a
+// fresh one.
+var pointerProbe = []display.InputEvent{display.MouseButton{Down: true, Button: 1}, display.MouseMove{X: 5, Y: 5}}
 
 // TestResetSessionMatchesFresh is the contract session pools rely on: a
 // pair driven with random traffic (garbage included) and then reset on
@@ -116,9 +131,11 @@ func verdict(n int, err error) inputVerdict {
 // row so decoder state (vnc's pointer, lbx's motion origin) carries into
 // the second pass, must agree on accept versus reject, on the error class
 // (ErrTruncated, ErrBadMessage), and on the event count, which must equal
-// len(events). Neither may panic. The high bit of codec sends the bytes on
-// the display channel instead, which every server must reject. Seeds are
-// real EncodeInput output for all five codecs.
+// len(events). A third pass decodes on both, so the validating server
+// must have been left in the decoding server's state. Nothing may panic.
+// The high bit of codec sends the bytes on the display channel instead,
+// which every server must reject. Seeds are real EncodeInput output for
+// all five codecs, pointerProbe included.
 func FuzzDecodeInput(f *testing.F) {
 	names := protos.Names()
 	for i, name := range names {
@@ -127,8 +144,8 @@ func FuzzDecodeInput(f *testing.F) {
 			f.Fatal(err)
 		}
 		r := simclock.NewRand(simclock.DeriveSeed(7, uint64(i)))
-		for k := 0; k < 3; k++ {
-			for _, m := range cli.EncodeInput(inGen(r)) {
+		for _, evs := range [][]display.InputEvent{pointerProbe, inGen(r), inGen(r), inGen(r)} {
+			for _, m := range cli.EncodeInput(evs) {
 				f.Add(uint8(i), m.Payload)
 			}
 		}
@@ -154,6 +171,11 @@ func FuzzDecodeInput(f *testing.F) {
 			if m.Channel == proto.Display && errD == nil {
 				t.Fatalf("%s: display-channel message accepted as input", name)
 			}
+		}
+		want, errD := dec.DecodeInput(m)
+		got, errV := val.DecodeInput(m)
+		if !reflect.DeepEqual(got, want) || verdict(0, errD) != verdict(0, errV) {
+			t.Fatalf("%s: after validating, DecodeInput gave %#v, %v; after decoding, %#v, %v", name, got, errV, want, errD)
 		}
 	})
 }
