@@ -1,6 +1,6 @@
-// Package lbx implements a Low-Bandwidth-X-like protocol: a transcoding
-// proxy over the xwire protocol that re-encodes verbose X requests into
-// compact forms, delta-encodes input events (motion events shrink from 32
+// Package lbx implements a Low-Bandwidth-X-like protocol: a proxy over
+// the xwire protocol that carries each verbose X request in a compact
+// form (encoded straight from the op tape), delta-encodes input events (motion events shrink from 32
 // bytes to 3), compresses large pixel payloads with DEFLATE, and splits
 // the result into small framing chunks.
 //
