@@ -1,8 +1,8 @@
 // Package lbx implements a Low-Bandwidth-X-like protocol: a proxy over
 // the xwire protocol that carries each verbose X request in a compact
-// form (encoded straight from the op tape), delta-encodes input events (motion events shrink from 32
-// bytes to 3), compresses large pixel payloads with DEFLATE, and splits
-// the result into small framing chunks.
+// form (encoded straight from the op tape), delta-encodes input events
+// (motion events shrink from 32 bytes to 3), compresses large pixel
+// payloads with DEFLATE, and splits the result into small framing chunks.
 //
 // The chunking is why the paper observes LBX sending 80% more display
 // messages than X while moving half the bytes: compression shrinks
