@@ -495,7 +495,7 @@ func TestStorm1KillDuringRampIsWorse(t *testing.T) {
 
 // stormRecoveries reads the two kills' recovery times out of storm1's
 // comparison note (the timelines alone cannot reconstruct RecoveryMs —
-// the tolerance is against the merged pre-kill histogram, not the p95s).
+// the tolerance is against the merged pre-kill samples, not the p95s).
 // A negative recovery is "never within the run".
 func stormRecoveries(t *testing.T, r *Result) (storm, flat float64) {
 	t.Helper()

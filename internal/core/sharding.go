@@ -65,6 +65,6 @@ func runShard1(cfg Config) (*Result, error) {
 	}
 	res.Notef("fleet: %d machines cycling big (128 MB, 1.5x CPU) / base (%d MB) / weak (48 MB, 0.6x CPU); each point runs every shard as a complete shared server",
 		len(machines), base.PhysicalKB/1024)
-	res.Notef("fleet p95 comes from merged per-shard latency histograms (%gms buckets): percentiles of separate machines cannot be combined after the fact", shard.HistBucketMs)
+	res.Notef("fleet p95 comes from merged per-shard latency samples (%gms buckets): percentiles of separate machines cannot be combined after the fact", shard.HistBucketMs)
 	return res, nil
 }

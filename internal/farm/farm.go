@@ -192,8 +192,8 @@ func Run[T any](cfg Config, body func(s *Session) (T, error)) ([]T, error) {
 // merge on a single goroutine (the caller's). Because shards merge in
 // index order regardless of completion order, aggregated metrics are
 // bit-for-bit reproducible under any worker count; because merge is
-// single-threaded, shard types (metrics.Summary, Histogram, Series, Dist)
-// need no locks. Out-of-order completions are buffered until their turn.
+// single-threaded, shard types (metrics.Summary, Series, Dist) need no
+// locks. Out-of-order completions are buffered until their turn.
 //
 // On session failure the farm still runs and merges every other session,
 // skipping merge only for failed ones, and returns the lowest-indexed

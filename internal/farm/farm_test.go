@@ -19,7 +19,6 @@ import (
 // aggregation unit.
 type shard struct {
 	stalls *metrics.Summary
-	hist   *metrics.Histogram
 	load   *metrics.Series
 	dist   *metrics.Dist
 }
@@ -27,7 +26,6 @@ type shard struct {
 func newShard() *shard {
 	return &shard{
 		stalls: &metrics.Summary{},
-		hist:   metrics.NewHistogram(5, 40),
 		load:   metrics.NewSeries(simclock.Second),
 		dist:   &metrics.Dist{},
 	}
@@ -35,7 +33,6 @@ func newShard() *shard {
 
 func (s *shard) merge(o *shard) {
 	s.stalls.Merge(o.stalls)
-	s.hist.Merge(o.hist)
 	s.load.Merge(o.load)
 	s.dist.Merge(o.dist)
 }
@@ -52,7 +49,6 @@ func simulate(s *farm.Session) (*shard, error) {
 				v = 0
 			}
 			sh.stalls.Add(v)
-			sh.hist.Add(v)
 			sh.dist.Add(v)
 			sh.load.Add(now, 1)
 		})
@@ -90,12 +86,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 			got.stalls.Min() != ref.stalls.Min() ||
 			got.stalls.Max() != ref.stalls.Max() {
 			t.Fatalf("workers=%d: summary diverged from sequential reference", workers)
-		}
-		for i := 0; i < ref.hist.Buckets(); i++ {
-			if got.hist.Count(i) != ref.hist.Count(i) {
-				t.Fatalf("workers=%d: histogram bucket %d = %d, want %d",
-					workers, i, got.hist.Count(i), ref.hist.Count(i))
-			}
 		}
 		for i := 0; i < ref.load.Len(); i++ {
 			if got.load.At(i) != ref.load.At(i) {

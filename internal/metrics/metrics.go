@@ -191,9 +191,10 @@ func (d *Dist) Min() float64 { return d.Percentile(0) }
 func (d *Dist) Max() float64 { return d.Percentile(100) }
 
 // ToHistogram buckets every collected sample into a fresh histogram of n
-// buckets each width wide. Histograms with identical bucketing merge
-// across farm shards where raw Dists would grow unboundedly, so this is
-// the bridge from a per-machine distribution to a fleet-level one.
+// buckets each width wide. A fleet merges its machines' Dists first and
+// buckets the merged samples once: bucket counts of merged samples equal
+// the sum of the per-part counts, so this reads fleet percentiles at
+// bucket granularity without keeping a dense histogram per machine.
 func (d *Dist) ToHistogram(width float64, n int) *Histogram {
 	h := NewHistogram(width, n)
 	for _, v := range d.samples {
@@ -262,27 +263,6 @@ func (h *Histogram) Total() float64 { return h.totalV }
 
 // Clamped reports how many samples exceeded the histogram range.
 func (h *Histogram) Clamped() int64 { return h.clamped }
-
-// Merge folds another histogram into h. Both histograms must have the same
-// bucket width and count; Merge panics otherwise, since silently mixing
-// incompatible bucketings would corrupt every downstream figure. Shards
-// accumulate independently during a farm run and merge single-threaded
-// afterward, so no locking is ever needed.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	if o.width != h.width || len(o.counts) != len(h.counts) {
-		panic("metrics: merging histograms with different bucketing")
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-		h.sums[i] += o.sums[i]
-	}
-	h.totalN += o.totalN
-	h.totalV += o.totalV
-	h.clamped += o.clamped
-}
 
 // Percentile returns the p-th percentile (0..100) at bucket granularity:
 // the upper edge of the bucket holding the nearest-rank sample, a

@@ -987,26 +987,16 @@ func (s *Server) parkSession(u *userState) {
 	s.sessionPool = append(s.sessionPool, sessionRes{user: u.User, bg: u.bg, psrv: u.psrv, pcli: u.pcli})
 }
 
-// EchoHistogram buckets every echo-latency sample Run collected
-// (milliseconds, right-censored samples included) into a histogram of n
-// buckets each widthMs wide. Result keeps only scalar percentiles so it
-// stays cheaply comparable; the histogram is the mergeable form a fleet
-// layer needs to compute percentiles across many servers, since
-// percentiles of separate machines cannot be combined after the fact.
-func (s *Server) EchoHistogram(widthMs float64, n int) *metrics.Histogram {
-	return s.echo.ToHistogram(widthMs, n)
-}
-
-// SliceHistograms is the mergeable form of Result.P95TimelineMs: one
-// histogram per TimelineSlice of the run, each bucketed like
-// EchoHistogram, so a fleet layer can merge per-machine timelines into a
-// fleet-level one before taking per-slice percentiles.
-func (s *Server) SliceHistograms(widthMs float64, n int) []*metrics.Histogram {
-	out := make([]*metrics.Histogram, len(s.slices))
-	for i, d := range s.slices {
-		out[i] = d.ToHistogram(widthMs, n)
-	}
-	return out
+// EchoDists returns the raw echo-latency samples Run collected
+// (milliseconds, right-censored samples included): run holds every sample,
+// and slices holds them again grouped by completion time, one Dist per
+// TimelineSlice (the samples behind Result.P95TimelineMs). Result keeps
+// only scalar percentiles so it stays cheaply comparable; the Dists are
+// the mergeable form a fleet layer needs, since percentiles of separate
+// machines cannot be combined after the fact. Both stay owned by the
+// Server: callers read or merge them and do not mutate them.
+func (s *Server) EchoDists() (run *metrics.Dist, slices []*metrics.Dist) {
+	return s.echo, s.slices
 }
 
 // sliceAt is the timeline slice holding samples that land at t.

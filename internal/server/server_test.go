@@ -319,9 +319,11 @@ func TestEmptyGridIsExplicitNoOp(t *testing.T) {
 	}
 }
 
-// TestEchoHistogramMatchesScalars: the mergeable histogram form must agree
-// with Result's scalar summary — same sample count, and bucket-granular
-// percentiles bounding the exact ones from above by at most one bucket.
+// TestEchoHistogramMatchesScalars: the mergeable sample form, bucketed the
+// way a fleet buckets it, must agree with Result's scalar summary — same
+// sample count, bucket-granular percentiles bounding the exact ones from
+// above by at most one bucket, and the timeline slices holding the run's
+// samples again.
 func TestEchoHistogramMatchesScalars(t *testing.T) {
 	cfg := quick()
 	cfg.Users = 6
@@ -333,9 +335,23 @@ func TestEchoHistogramMatchesScalars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := srv.EchoHistogram(1, 4096)
+	run, slices := srv.EchoDists()
+	h := run.ToHistogram(1, 4096)
 	if h.N() != res.EchoSamples {
 		t.Fatalf("histogram N = %d, want %d echo samples", h.N(), res.EchoSamples)
+	}
+	if len(slices) != len(res.P95TimelineMs) {
+		t.Fatalf("%d slice Dists, want %d timeline slices", len(slices), len(res.P95TimelineMs))
+	}
+	var inSlices int
+	for i, d := range slices {
+		inSlices += d.N()
+		if got := d.Percentile(95); got != res.P95TimelineMs[i] {
+			t.Fatalf("slice %d p95 = %v, want timeline %v", i, got, res.P95TimelineMs[i])
+		}
+	}
+	if int64(inSlices) != res.EchoSamples {
+		t.Fatalf("slices hold %d samples, want %d", inSlices, res.EchoSamples)
 	}
 	for _, p := range []float64{50, 95} {
 		exact := res.EchoP50Ms

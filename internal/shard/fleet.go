@@ -9,8 +9,9 @@ import (
 )
 
 // Fleet-standard echo-latency bucketing: 1 ms buckets, at least
-// HistBuckets of them. Every shard of a run buckets identically so
-// per-shard histograms merge into exact fleet-level counts.
+// HistBuckets of them. Run merges every shard's raw echo samples first
+// and buckets the merged samples once, so fleet percentiles are read at
+// this granularity from exact fleet-level counts.
 const (
 	HistBucketMs = 1.0
 	HistBuckets  = 4096
@@ -52,10 +53,10 @@ type ShardResult struct {
 }
 
 // FleetResult is the population's measured impact on the whole fleet.
-// Fleet percentiles come from the merged per-shard histograms, at bucket
+// Fleet percentiles come from the merged per-shard echo samples, at bucket
 // granularity (HistBucketMs): the p95 of a fleet is not the max (or any
-// other combination) of per-shard p95s, so the sample counts must merge
-// before the percentile is taken. All fields are scalars, slices of
+// other combination) of per-shard p95s, so the samples must merge before
+// the percentile is taken. All fields are scalars, slices of
 // scalars, or nested scalar structs, so results compare with
 // reflect.DeepEqual in determinism tests and serialize directly.
 type FleetResult struct {
@@ -130,8 +131,9 @@ func policyName(p string) string {
 // Run places the population — one-shot for a static fleet, as a full
 // lifecycle plan when churn, growth, or a kill make it dynamic — runs
 // every shard concurrently across the farm (one whole machine per farm
-// body), and merges the per-shard echo histograms into fleet-level
-// percentiles and the per-shard timelines into a fleet-level timeline.
+// body), and merges the per-shard echo samples into fleet-level
+// percentiles and the per-shard timeline slices into a fleet-level
+// timeline, bucketing each merged set once.
 // The same configuration always produces a deeply identical FleetResult
 // at any worker count.
 func Run(cfg Config) (FleetResult, error) {
@@ -150,32 +152,26 @@ func Run(cfg Config) (FleetResult, error) {
 	}
 	buckets := histBuckets(cfg.Base.Span)
 	nSlices := server.TimelineSlices(cfg.Base.Span)
+	// A shard that hosts no session contributes a zero Result and nil
+	// samples.
 	type shardOut struct {
 		res    server.Result
-		hist   *metrics.Histogram
-		slices []*metrics.Histogram
-	}
-	emptyOut := func() shardOut {
-		o := shardOut{hist: metrics.NewHistogram(HistBucketMs, buckets)}
-		o.slices = make([]*metrics.Histogram, nSlices)
-		for i := range o.slices {
-			o.slices[i] = metrics.NewHistogram(HistBucketMs, buckets)
-		}
-		return o
+		echo   *metrics.Dist
+		slices []*metrics.Dist
 	}
 	outs, err := farm.Run(farm.Config{Sessions: len(cfg.Machines), Workers: cfg.Workers, Seed: cfg.Seed},
 		func(s *farm.Session) (shardOut, error) {
 			sc := cfg.shardConfig(s.Index, counts[s.Index])
 			if plans != nil {
 				if len(plans[s.Index]) == 0 {
-					return emptyOut(), nil
+					return shardOut{}, nil
 				}
 				sc.Sessions = plans[s.Index]
 				if fp.tiers != nil {
 					sc.TierPlan = fp.tiers[s.Index]
 				}
 			} else if counts[s.Index] == 0 {
-				return emptyOut(), nil
+				return shardOut{}, nil
 			}
 			srv, err := server.New(sc)
 			if err != nil {
@@ -185,11 +181,8 @@ func Run(cfg Config) (FleetResult, error) {
 			if err != nil {
 				return shardOut{}, err
 			}
-			return shardOut{
-				res:    res,
-				hist:   srv.EchoHistogram(HistBucketMs, buckets),
-				slices: srv.SliceHistograms(HistBucketMs, buckets),
-			}, nil
+			echo, slices := srv.EchoDists()
+			return shardOut{res: res, echo: echo, slices: slices}, nil
 		})
 	if err != nil {
 		return FleetResult{}, err
@@ -202,11 +195,8 @@ func Run(cfg Config) (FleetResult, error) {
 		KilledShard: -1,
 		RecoveryMs:  -1,
 	}
-	merged := metrics.NewHistogram(HistBucketMs, buckets)
-	sliceMerged := make([]*metrics.Histogram, nSlices)
-	for i := range sliceMerged {
-		sliceMerged[i] = metrics.NewHistogram(HistBucketMs, buckets)
-	}
+	var merged metrics.Dist
+	sliceMerged := make([]metrics.Dist, nSlices)
 	for j, o := range outs {
 		fleet.Shards = append(fleet.Shards, ShardResult{
 			Shard:      j,
@@ -215,9 +205,9 @@ func Run(cfg Config) (FleetResult, error) {
 			Killed:     cfg.KillAt > 0 && j == cfg.KillShard,
 			Result:     o.res,
 		})
-		merged.Merge(o.hist)
-		for i, sh := range o.slices {
-			sliceMerged[i].Merge(sh)
+		merged.Merge(o.echo)
+		for i, d := range o.slices {
+			sliceMerged[i].Merge(d)
 		}
 		fleet.Arrivals += o.res.Arrivals
 		fleet.Departures += o.res.Departures
@@ -233,19 +223,20 @@ func Run(cfg Config) (FleetResult, error) {
 			fleet.LoginMaxMs = o.res.LoginMaxMs
 		}
 	}
-	fleet.EchoP50Ms = merged.Percentile(50)
-	fleet.EchoP95Ms = merged.Percentile(95)
-	fleet.Clamped = merged.Clamped()
+	hist := merged.ToHistogram(HistBucketMs, buckets)
+	fleet.EchoP50Ms = hist.Percentile(50)
+	fleet.EchoP95Ms = hist.Percentile(95)
+	fleet.Clamped = hist.Clamped()
 	fleet.P95TimelineMs = make([]float64, nSlices)
-	for i, h := range sliceMerged {
+	for i := range sliceMerged {
 		// The timeline re-buckets the same samples the whole-run histogram
 		// holds, so its clamp counts are not added to fleet.Clamped.
-		fleet.P95TimelineMs[i] = h.Percentile(95)
+		fleet.P95TimelineMs[i] = sliceMerged[i].ToHistogram(HistBucketMs, buckets).Percentile(95)
 	}
 	if cfg.KillAt > 0 {
 		fleet.KilledShard = cfg.KillShard
 		fleet.PreKillP95Ms, fleet.PeakKillP95Ms, fleet.RecoveryMs =
-			failoverMetrics(cfg.KillAt, sliceMerged, fleet.P95TimelineMs)
+			failoverMetrics(cfg.KillAt, buckets, sliceMerged, fleet.P95TimelineMs)
 	}
 	if cfg.Control != nil {
 		fleet.PeakUsers = fp.stats.PeakUsers
@@ -261,7 +252,8 @@ func Run(cfg Config) (FleetResult, error) {
 }
 
 // failoverMetrics reduces the fleet timeline around a kill: the baseline
-// p95 over every pre-kill slice (merged, then one percentile), the worst
+// p95 over every pre-kill slice (their samples merged, bucketed once into
+// the fleet's histogram range of buckets, then one percentile), the worst
 // slice p95 at or after the kill, and the delay from the kill until the
 // first slice whose p95 is back within tolerance of the baseline. Slices
 // with no samples are skipped on the way down — an empty slice is "no
@@ -270,16 +262,16 @@ func Run(cfg Config) (FleetResult, error) {
 // was censored in (run end), so RecoveryMs describes the latency of the
 // users being served; read it together with LoginMaxMs and Censored,
 // which expose re-logins the survivors starved out.
-func failoverMetrics(killAt simclock.Duration, slices []*metrics.Histogram, p95s []float64) (pre, peak, recovery float64) {
+func failoverMetrics(killAt simclock.Duration, buckets int, slices []metrics.Dist, p95s []float64) (pre, peak, recovery float64) {
 	killSlice := int(killAt / server.TimelineSlice)
 	if killSlice > len(slices) {
 		killSlice = len(slices)
 	}
-	before := metrics.NewHistogram(HistBucketMs, slices[0].Buckets())
-	for _, h := range slices[:killSlice] {
-		before.Merge(h)
+	var before metrics.Dist
+	for i := range slices[:killSlice] {
+		before.Merge(&slices[i])
 	}
-	pre = before.Percentile(95)
+	pre = before.ToHistogram(HistBucketMs, buckets).Percentile(95)
 	recovery = -1
 	threshold := pre*RecoveryFactor + RecoverySlackMs
 	for i := killSlice; i < len(slices); i++ {

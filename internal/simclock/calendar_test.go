@@ -1,8 +1,22 @@
 package simclock
 
 import (
+	"reflect"
 	"testing"
 )
+
+// TestCalEntryIsPointerFree guards the bucket layout: a pointer in
+// calEntry (the *Event itself, say) brings back a write barrier on every
+// entry shift of a sorted insert or head removal.
+func TestCalEntryIsPointerFree(t *testing.T) {
+	et := reflect.TypeOf(calEntry{})
+	for i := 0; i < et.NumField(); i++ {
+		// Bool through Complex128 are the kinds that never hold a pointer.
+		if f := et.Field(i); f.Type.Kind() > reflect.Complex128 {
+			t.Errorf("calEntry.%s is a %s, not a pointer-free scalar", f.Name, f.Type)
+		}
+	}
+}
 
 // queuePair drives the calendar queue and the reference heap with identical
 // event streams and asserts every removal agrees. Events cannot be shared

@@ -64,6 +64,7 @@ type Process struct {
 
 	frames   []int32 // per-page frame index, -1 when not resident
 	resident int
+	id       int32 // 1 + index in the owning Manager's procs; never 0
 }
 
 // Pages reports the process's virtual size in pages.
@@ -75,10 +76,22 @@ func (p *Process) Resident() int { return p.resident }
 // IsResident reports whether virtual page i is in memory.
 func (p *Process) IsResident(i int) bool { return p.frames[i] >= 0 }
 
+// frame is one physical page. It holds no pointer — the owner is a
+// process id resolved through Manager.procs — so the frame table is
+// invisible to the garbage collector: the collector never scans it, and
+// the per-touch writes that retag a frame pay no write barrier.
 type frame struct {
-	owner *Process
+	owner int32 // the owning process's id; 0 for a free frame
 	page  int32
 	ref   bool
+}
+
+// ownerOf reports the process owning fr, nil for a free frame.
+func (m *Manager) ownerOf(fr *frame) *Process {
+	if fr.owner == 0 {
+		return nil
+	}
+	return m.procs[fr.owner-1]
 }
 
 // Stats counts memory system activity.
@@ -141,7 +154,7 @@ func (m *Manager) ResidentKB(p *Process) int { return p.resident * m.cfg.PageKB 
 // fully non-resident.
 func (m *Manager) NewProcess(name string, sizeKB int) *Process {
 	pages := (sizeKB + m.cfg.PageKB - 1) / m.cfg.PageKB
-	p := &Process{Name: name, frames: make([]int32, pages)}
+	p := &Process{Name: name, frames: make([]int32, pages), id: int32(len(m.procs)) + 1}
 	for i := range p.frames {
 		p.frames[i] = -1
 	}
@@ -151,6 +164,8 @@ func (m *Manager) NewProcess(name string, sizeKB int) *Process {
 
 // Touch references virtual page i of p, faulting it in if needed.
 // It reports whether a fault occurred.
+//
+//thinlint:hotpath
 func (m *Manager) Touch(p *Process, i int) bool {
 	if i < 0 || i >= len(p.frames) {
 		panic(fmt.Sprintf("vm: touch out of range: page %d of %d-page process %s", i, len(p.frames), p.Name))
@@ -161,7 +176,7 @@ func (m *Manager) Touch(p *Process, i int) bool {
 	}
 	m.stats.Faults++
 	f := m.allocFrame(p)
-	m.frames[f] = frame{owner: p, page: int32(i), ref: true}
+	m.frames[f] = frame{owner: p.id, page: int32(i), ref: true}
 	p.frames[i] = f
 	p.resident++
 	return true
@@ -193,6 +208,8 @@ func (m *Manager) TouchSpan(p *Process, startKB, lenKB int) int {
 }
 
 // Evict removes virtual page i of p from memory (no-op when not resident).
+//
+//thinlint:hotpath
 func (m *Manager) Evict(p *Process, i int) {
 	f := p.frames[i]
 	if f < 0 {
@@ -213,6 +230,8 @@ func (m *Manager) EvictAll(p *Process) {
 }
 
 // allocFrame finds a frame for p, reclaiming one when memory is full.
+//
+//thinlint:hotpath
 func (m *Manager) allocFrame(p *Process) int32 {
 	// Hog throttle: a capped process past its limit must recycle its own
 	// frames even if free memory exists elsewhere.
@@ -237,6 +256,8 @@ func (m *Manager) allocFrame(p *Process) int32 {
 // second chance; the first unreferenced, unpinned, policy-eligible frame is
 // reclaimed. Guaranteed to terminate: after two full sweeps every
 // reclaimable frame has had its reference bit cleared.
+//
+//thinlint:hotpath
 func (m *Manager) clockReclaim(for_ *Process) int32 {
 	n := int32(len(m.frames))
 	protectInteractive := m.cfg.ReserveInteractive && !for_.Interactive
@@ -246,10 +267,11 @@ func (m *Manager) clockReclaim(for_ *Process) int32 {
 		m.hand = (m.hand + 1) % n
 		fr := &m.frames[i]
 		m.stats.ClockSweep++
-		if fr.owner == nil || fr.owner.Pinned {
+		owner := m.ownerOf(fr)
+		if owner == nil || owner.Pinned {
 			continue
 		}
-		if protectInteractive && fr.owner.Interactive {
+		if protectInteractive && owner.Interactive {
 			if fallback < 0 {
 				fallback = i // reclaim only if nothing else exists
 			}
@@ -269,6 +291,8 @@ func (m *Manager) clockReclaim(for_ *Process) int32 {
 
 // reclaimFrom reclaims one of p's own frames (oldest by clock order),
 // or -1 when p has none resident.
+//
+//thinlint:hotpath
 func (m *Manager) reclaimFrom(p *Process) int32 {
 	n := int32(len(m.frames))
 	var candidate int32 = -1
@@ -276,7 +300,7 @@ func (m *Manager) reclaimFrom(p *Process) int32 {
 		i := m.hand
 		m.hand = (m.hand + 1) % n
 		fr := &m.frames[i]
-		if fr.owner != p {
+		if fr.owner != p.id {
 			continue
 		}
 		if fr.ref {
@@ -295,11 +319,13 @@ func (m *Manager) reclaimFrom(p *Process) int32 {
 }
 
 // takeFrame detaches frame i from its owner and returns it.
+//
+//thinlint:hotpath
 func (m *Manager) takeFrame(i int32) int32 {
 	fr := &m.frames[i]
-	if fr.owner != nil {
-		fr.owner.frames[fr.page] = -1
-		fr.owner.resident--
+	if owner := m.ownerOf(fr); owner != nil {
+		owner.frames[fr.page] = -1
+		owner.resident--
 		m.stats.Evictions++
 	}
 	*fr = frame{page: -1}
@@ -324,15 +350,16 @@ func (m *Manager) CheckInvariants() error {
 	used := 0
 	for fi := range m.frames {
 		fr := m.frames[fi]
-		if fr.owner == nil {
+		owner := m.ownerOf(&fr)
+		if owner == nil {
 			continue
 		}
 		used++
-		if fr.page < 0 || int(fr.page) >= len(fr.owner.frames) {
-			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, fr.page, fr.owner.Name)
+		if fr.page < 0 || int(fr.page) >= len(owner.frames) {
+			return fmt.Errorf("frame %d maps out-of-range page %d of %s", fi, fr.page, owner.Name)
 		}
-		if fr.owner.frames[fr.page] != int32(fi) {
-			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, fr.owner.Name, fr.page)
+		if owner.frames[fr.page] != int32(fi) {
+			return fmt.Errorf("frame %d and process %s disagree about page %d", fi, owner.Name, fr.page)
 		}
 	}
 	if used+len(m.free) != len(m.frames) {

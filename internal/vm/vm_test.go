@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +15,19 @@ func smallConfig() Config {
 		SwapSeek:     8 * simclock.Millisecond,
 		SwapPage:     500 * simclock.Microsecond,
 		ClusterPages: 4,
+	}
+}
+
+// TestFrameIsPointerFree guards the frame table's layout: a pointer in
+// frame (an owner *Process, say) makes the collector scan every frame and
+// puts a write barrier on every page-in and eviction.
+func TestFrameIsPointerFree(t *testing.T) {
+	ft := reflect.TypeOf(frame{})
+	for i := 0; i < ft.NumField(); i++ {
+		// Bool through Complex128 are the kinds that never hold a pointer.
+		if f := ft.Field(i); f.Type.Kind() > reflect.Complex128 {
+			t.Errorf("frame.%s is a %s, not a pointer-free scalar", f.Name, f.Type)
+		}
 	}
 }
 
