@@ -58,12 +58,11 @@
 // Speed mode benchmarks the simulator itself: canonical workloads timed
 // for sim-events/sec, wall-clock per simulated user-hour, and allocations
 // per event. Event and allocation counts are deterministic (at -parallel
-// 1) and golden-diffed in CI; wall-clock numbers are machine-dependent:
+// 1) and golden-diffed by go test; wall-clock numbers are machine-dependent:
 //
 //	thinbench -run speed
 //	thinbench -run speed -parallel 1 -json BENCH_speed.json
 //	thinbench -run speed -workload cont1 -cpuprofile cpu.pprof   # profile one loop
-//	thinbench -run speed -eventq heap       # reference scheduler, same numbers
 package main
 
 import (
@@ -73,11 +72,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
 	"thinbench"
 	"thinbench/internal/benchdoc"
 	"thinbench/internal/shard"
-	"thinbench/internal/simclock"
 )
 
 func main() {
@@ -103,17 +103,11 @@ func main() {
 
 		workload = flag.String("workload", "", "speed mode: run only the named workload (cont1, fleet, officeday, bigfleet); empty runs all")
 
-		eventq     = flag.String("eventq", "", "event queue implementation: calendar (default) or heap; any mode, results are identical either way")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
 	flag.Parse()
 
-	if *eventq != "" {
-		kind, err := simclock.ParseQueueKind(*eventq)
-		exitOn(err)
-		simclock.DefaultQueue = kind
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		exitOn(err)
@@ -146,7 +140,7 @@ func main() {
 		fmt.Println("  control")
 		fmt.Println("        online admission/shedding/autoscaling versus the offline sizing oracle, per arrival profile; see -shards, -profile, -users")
 		fmt.Println("  speed")
-		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event and bytes/event on canonical workloads; see -eventq, -cpuprofile, -memprofile")
+		fmt.Println("        benchmark the simulator itself: events/sec, wall per user-hour, allocs/event and bytes/event on canonical workloads; see -workload, -cpuprofile, -memprofile")
 		if *runID == "" && !*list {
 			fmt.Println("\nrun one with: thinbench -run <id>   (or -run all, -run contention, -run shard)")
 		}
@@ -205,17 +199,17 @@ func main() {
 		return
 	case "control":
 		// Control mode's -users is the offered demand; 0 (the default
-		// here) derives 1.5x each profile's oracle fleet seats, and the
-		// fleet defaults to two live machines so the oracle's
-		// overprovisioning answer has something to beat.
+		// here, spelled out in BENCH_control.json's command) derives 1.5x
+		// each profile's oracle fleet seats, and the fleet defaults to two
+		// live machines so the oracle's overprovisioning answer has
+		// something to beat.
 		demand := 0
 		if flagWasSet("users") {
-			counts, err := benchdoc.ParseCounts(*users)
-			exitOn(err)
-			if len(counts) != 1 {
-				exitOn(fmt.Errorf("control mode offers one demand; give a single -users count, not %v", counts))
+			n, err := strconv.Atoi(strings.TrimSpace(*users))
+			if err != nil {
+				exitOn(fmt.Errorf("control mode offers one demand; give a single -users count (0 derives it), not %q", *users))
 			}
-			demand = counts[0]
+			demand = n
 		}
 		ctrlShards := *shards
 		if !flagWasSet("shards") {

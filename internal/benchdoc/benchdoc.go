@@ -1,9 +1,11 @@
 // Package benchdoc builds the repo's machine-readable bench trajectory
 // documents (BENCH_contention.json, BENCH_shard.json, BENCH_churn.json,
-// BENCH_schedule.json, BENCH_speed.json). The cmd/thinbench CLI renders these documents to
-// the terminal and serializes them; tests regenerate them in-process and
-// golden-diff the numeric fields against the checked-in baselines, so a
-// refactor that drifts a single number fails before CI does.
+// BENCH_schedule.json, BENCH_control.json, BENCH_speed.json). The
+// cmd/thinbench CLI renders these documents to the terminal and
+// serializes them; tests regenerate them in-process, golden-diff the
+// numeric fields against the checked-in baselines and assert each
+// document's ordinal claims, so a refactor that drifts a single number
+// fails go test.
 //
 // Every builder takes the raw CLI flag strings it was invoked with and
 // embeds the exact reproduction command in the document, which is what
@@ -411,8 +413,10 @@ func Schedule(users, profiles, policies string, machines, killShard int, killAtS
 // numbers, which vary with the machine and must be excluded from any diff
 // (see SpeedVolatileFields).
 type SpeedDoc struct {
-	Command   string         `json:"command"`
-	Seed      uint64         `json:"seed"`
+	Command string `json:"command"`
+	Seed    uint64 `json:"seed"`
+	// Queue names the engine's pending-event queue. It is always
+	// "calendar"; the reference heap exists only in simclock's tests.
 	Queue     string         `json:"queue"`
 	Workers   int            `json:"workers"`
 	Workloads []speed.Report `json:"workloads"`
@@ -439,7 +443,7 @@ func Speed(quick bool, seed uint64, workers int, workload string) (SpeedDoc, err
 	doc := SpeedDoc{
 		Command: command,
 		Seed:    seed,
-		Queue:   simclock.DefaultQueue.String(),
+		Queue:   "calendar",
 		Workers: workers,
 	}
 	for _, w := range speed.Workloads(quick) {

@@ -7,7 +7,7 @@ import (
 )
 
 // Hotpath flags allocation sources inside functions annotated
-// //thinlint:hotpath. The speed harness ratchets allocs/event at 1% in CI,
+// //thinlint:hotpath. The golden test ratchets allocs/event at 0.5%,
 // but the ratchet fires on the aggregate — it tells you *that* the echo
 // path regressed, not *where*. This analyzer names the line: any construct
 // that can allocate or box on a hot function is a diagnostic, and the

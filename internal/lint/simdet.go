@@ -7,10 +7,11 @@ import (
 
 // Simdet forbids nondeterminism sources in simulation packages
 // (thinbench/internal/* except the lint suite itself). The BENCH baselines
-// are diffed bit-for-bit in CI across -parallel 1/8 and -eventq
-// heap/calendar; any of the constructs below can make two runs of the same
-// seed disagree, which surfaces as an inexplicable golden diff long after
-// the offending line merged.
+// are diffed bit-for-bit by the Go tests at 1 and 8 workers, and the
+// speed workloads replay identically on the reference heap queue; any of
+// the constructs below can make two runs of the same seed disagree, which
+// surfaces as an inexplicable golden diff long after the offending line
+// merged.
 //
 // Rules:
 //

@@ -9,7 +9,7 @@ import "testing"
 // allocation-free; bucket growth and rebuilds amortize to near zero.
 func BenchmarkCalendarPushPop(b *testing.B) {
 	b.ReportAllocs()
-	eng := NewEngineQueue(QueueCalendar)
+	eng := NewEngine()
 	fn := func(now Time) {}
 	const population = 512
 	for i := 0; i < population; i++ {

@@ -4,10 +4,7 @@
 // exact and runs are deterministic for a given seed.
 package simclock
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in microseconds since simulation start.
 type Time int64
@@ -85,48 +82,9 @@ func eventBefore(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// QueueKind selects the pending-event queue implementation backing an
-// Engine. Both kinds dispatch in the identical (timestamp, sequence) order,
-// so simulation results are bit-for-bit independent of the choice; only
-// wall-clock speed differs.
-type QueueKind int
-
-const (
-	// QueueCalendar is a Brown-style calendar queue: O(1) amortized
-	// schedule and dispatch. The default.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the reference binary-heap queue (container/heap),
-	// kept as the oracle the calendar queue is property-tested against.
-	QueueHeap
-)
-
-func (k QueueKind) String() string {
-	switch k {
-	case QueueCalendar:
-		return "calendar"
-	case QueueHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("QueueKind(%d)", int(k))
-}
-
-// ParseQueueKind maps a CLI spelling ("calendar", "heap") to a QueueKind.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "calendar":
-		return QueueCalendar, nil
-	case "heap":
-		return QueueHeap, nil
-	}
-	return 0, fmt.Errorf("simclock: unknown event queue %q (want calendar or heap)", s)
-}
-
-// DefaultQueue is the queue kind NewEngine uses. Flipping it (e.g. via the
-// thinbench -eventq flag) must not change any simulation result.
-var DefaultQueue = QueueCalendar
-
 // eventQueue is the pending-event priority queue behind an Engine. All
-// implementations order events by eventBefore.
+// implementations order events by eventBefore, so which one backs an
+// engine never changes a simulation result, only its speed.
 type eventQueue interface {
 	push(ev *Event)
 	// pop removes and returns the earliest pending event, nil when empty.
@@ -137,57 +95,6 @@ type eventQueue interface {
 	// remove unlinks a pending event (ev.idx >= 0).
 	remove(ev *Event) bool
 	len() int
-}
-
-// heapQueue is the reference binary-heap implementation.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(ev *Event) { heap.Push(&q.h, ev) }
-
-func (q *heapQueue) pop() *Event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Event)
-}
-
-func (q *heapQueue) popLE(deadline Time) *Event {
-	if len(q.h) == 0 || q.h[0].when > deadline {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Event)
-}
-
-func (q *heapQueue) remove(ev *Event) bool {
-	heap.Remove(&q.h, ev.idx)
-	ev.idx = -1
-	return true
-}
-
-func (q *heapQueue) len() int { return len(q.h) }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return eventBefore(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
 }
 
 // Engine is a discrete-event simulator: a virtual clock plus an ordered queue
@@ -211,21 +118,13 @@ type Engine struct {
 // eventBlock is the carve-out chunk size for fresh Event structs.
 const eventBlock = 64
 
-// NewEngine returns an engine with the clock at zero and no pending events,
-// backed by the DefaultQueue queue kind.
-func NewEngine() *Engine { return NewEngineQueue(DefaultQueue) }
+// newQueue builds the pending-event queue behind every Engine: the
+// calendar queue. Tests swap in the reference binary heap (see
+// export_test.go) to replay whole workloads against it.
+var newQueue = func() eventQueue { return newCalendarQueue() }
 
-// NewEngineQueue returns an engine backed by the given queue kind. Results
-// are identical across kinds; only speed differs.
-func NewEngineQueue(kind QueueKind) *Engine {
-	switch kind {
-	case QueueHeap:
-		return &Engine{queue: &heapQueue{}}
-	case QueueCalendar:
-		return &Engine{queue: newCalendarQueue()}
-	}
-	panic(fmt.Sprintf("simclock: unknown queue kind %d", int(kind)))
-}
+// NewEngine returns an engine with the clock at zero and no pending events.
+func NewEngine() *Engine { return &Engine{queue: newQueue()} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }

@@ -5,8 +5,8 @@
 // per event.
 //
 // The event and allocation counts are deterministic — same seed, same
-// binary, same numbers — so they golden-diff and ratchet in CI like any
-// other BENCH baseline. Wall-clock derived numbers vary with the machine
+// binary, same numbers — so the golden test diffs and ratchets them like
+// any other BENCH baseline. Wall-clock derived numbers vary with the machine
 // and are reported but never diffed.
 package speed
 

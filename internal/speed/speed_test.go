@@ -3,13 +3,8 @@ package speed_test
 import (
 	"testing"
 
-	"thinbench/internal/simclock"
 	"thinbench/internal/speed"
 )
-
-// No test here may call t.Parallel: the queue-kind tests flip the
-// process-global simclock.DefaultQueue, and Measure's allocation counting
-// reads process-global MemStats.
 
 // TestWorkloadsSmoke runs every canonical quick workload once and checks
 // it actually exercises the simulator: a workload that dispatches zero
@@ -30,36 +25,6 @@ func TestWorkloadsSmoke(t *testing.T) {
 		}
 		if again != events {
 			t.Fatalf("%s: event count not deterministic: %d then %d", w.Name, events, again)
-		}
-	}
-}
-
-// TestQueueKindsAgree is the repo-local version of the CI eventq-diff job:
-// the calendar queue is an optimization of the reference heap, so every
-// workload must dispatch the identical event count under either. A
-// divergence means the calendar queue reordered same-time events and the
-// simulation is no longer queue-invariant.
-func TestQueueKindsAgree(t *testing.T) {
-	saved := simclock.DefaultQueue
-	defer func() { simclock.DefaultQueue = saved }()
-
-	counts := make(map[string][2]uint64)
-	for i, kind := range []simclock.QueueKind{simclock.QueueHeap, simclock.QueueCalendar} {
-		simclock.DefaultQueue = kind
-		for _, w := range speed.Workloads(true) {
-			events, err := w.Run(1999, 1)
-			if err != nil {
-				t.Fatalf("%s under %s: %v", w.Name, kind, err)
-			}
-			c := counts[w.Name]
-			c[i] = events
-			counts[w.Name] = c
-		}
-	}
-	for name, c := range counts {
-		if c[0] != c[1] {
-			t.Errorf("%s: heap queue dispatched %d events, calendar %d — queue kind leaked into the simulation",
-				name, c[0], c[1])
 		}
 	}
 }
